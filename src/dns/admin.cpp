@@ -1,10 +1,10 @@
 #include "dns/admin.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 #include <utility>
 
@@ -22,9 +22,13 @@ namespace metrics = util::metrics;
 namespace {
 
 /// Latency bucket upper bounds: 1us * 2^i.
-[[nodiscard]] double bucket_bound(std::size_t i) noexcept {
-  return static_cast<double>(std::uint64_t{1} << i);
-}
+constexpr auto kLatencyBoundsUs = [] {
+  std::array<double, kServeLatencyBuckets> bounds{};
+  for (std::size_t i = 0; i < bounds.size(); ++i) {
+    bounds[i] = static_cast<double>(std::uint64_t{1} << i);
+  }
+  return bounds;
+}();
 
 /// splitmix64 finalizer: spreads the (often sequential) transaction ids so
 /// "1 in N by txid hash" selects an unbiased but reproducible subset.
@@ -41,62 +45,26 @@ namespace {
   return buf;
 }
 
+/// WorkerProbe slot layout: every UdpServeStats field in table order, the
+/// latency buckets, the latency count and sum bits, sampled, slowlog.
+constexpr std::size_t kSlotWords = kUdpServeStatsFields.size() + (kServeLatencyBuckets + 1) + 4;
+
 }  // namespace
-
-// -- RateWindows --------------------------------------------------------------
-
-void RateWindows::add_sample(double at_s, std::uint64_t cumulative) {
-  if (!samples_.empty() && at_s < samples_.back().at_s) return;  // clock went backwards
-  samples_.push_back(Sample{at_s, cumulative});
-  while (samples_.size() > max_samples_) samples_.pop_front();
-}
-
-double RateWindows::rate(double window_s) const {
-  if (samples_.size() < 2) return 0.0;
-  const Sample& last = samples_.back();
-  const double boundary = last.at_s - window_s;
-  // Newest sample at or before the window boundary; falls back to the
-  // oldest retained sample, clamping the window to the observed span.
-  const Sample* base = &samples_.front();
-  for (const Sample& s : samples_) {
-    if (s.at_s > boundary) break;
-    base = &s;
-  }
-  if (base == &last) base = &samples_[samples_.size() - 2];
-  const double span = last.at_s - base->at_s;
-  if (span <= 0.0) return 0.0;
-  return static_cast<double>(last.cumulative - base->cumulative) / span;
-}
 
 // -- ServeLatencySnapshot -----------------------------------------------------
 
 double ServeLatencySnapshot::percentile(double p) const noexcept {
-  if (count == 0) return 0.0;
-  const double rank = (std::clamp(p, 0.0, 100.0) / 100.0) * static_cast<double>(count);
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i <= kServeLatencyBuckets; ++i) {
-    const std::uint64_t c = buckets[i];
-    if (c == 0) continue;
-    if (static_cast<double>(seen) + static_cast<double>(c) >= rank) {
-      if (i == kServeLatencyBuckets) return bucket_bound(kServeLatencyBuckets - 1);
-      const double lower = i == 0 ? 0.0 : bucket_bound(i - 1);
-      const double upper = bucket_bound(i);
-      const double within = (rank - static_cast<double>(seen)) / static_cast<double>(c);
-      return lower + (upper - lower) * std::clamp(within, 0.0, 1.0);
-    }
-    seen += c;
-  }
-  return bucket_bound(kServeLatencyBuckets - 1);
-}
-
-ServeLatencySnapshot& ServeLatencySnapshot::operator+=(const ServeLatencySnapshot& other) noexcept {
-  for (std::size_t i = 0; i < buckets.size(); ++i) buckets[i] += other.buckets[i];
-  count += other.count;
-  sum_us += other.sum_us;
-  return *this;
+  return metrics::bucket_percentile(kLatencyBoundsUs, buckets, p);
 }
 
 // -- WorkerProbe --------------------------------------------------------------
+
+ServeIntrospection::WorkerProbe::WorkerProbe(ServeIntrospection* owner, unsigned index)
+    : owner_(owner),
+      index_(index),
+      slot_(kSlotWords),
+      clients_(owner->config_.top_k),
+      qnames_(owner->config_.top_k) {}
 
 bool ServeIntrospection::WorkerProbe::should_sample(
     std::span<const std::uint8_t> query) const noexcept {
@@ -115,14 +83,10 @@ void ServeIntrospection::WorkerProbe::on_sampled(
     std::span<const std::uint8_t> query, const std::optional<std::vector<std::uint8_t>>& response,
     double latency_us, const net::UdpEndpoint& client) {
   ++sampled_;
-  std::size_t bucket = kServeLatencyBuckets;
-  for (std::size_t i = 0; i < kServeLatencyBuckets; ++i) {
-    if (latency_us <= bucket_bound(i)) {
-      bucket = i;
-      break;
-    }
-  }
-  ++latency_.buckets[bucket];
+  // First bound >= the latency; past the last bound is the overflow bucket.
+  const auto bound =
+      std::lower_bound(kLatencyBoundsUs.begin(), kLatencyBoundsUs.end(), latency_us);
+  ++latency_.buckets[static_cast<std::size_t>(bound - kLatencyBoundsUs.begin())];
   ++latency_.count;
   latency_.sum_us += latency_us;
 
@@ -152,8 +116,7 @@ void ServeIntrospection::WorkerProbe::on_sampled(
 
 void ServeIntrospection::WorkerProbe::publish(const UdpServeStats& stats) {
   if (!client_buf_.empty() || !qname_buf_.empty()) {
-    WorkerSketches& sk = *owner_->sketches_[index_];
-    const std::lock_guard<std::mutex> lock(sk.mu);
+    const std::lock_guard<std::mutex> lock(sketch_mu_);
     // Sorting first bounds the sketch work at one offer per *distinct*
     // client in this drain, independent of how the kernel interleaved them.
     std::sort(client_buf_.begin(), client_buf_.end());
@@ -161,50 +124,36 @@ void ServeIntrospection::WorkerProbe::publish(const UdpServeStats& stats) {
     while (i < client_buf_.size()) {
       std::size_t j = i + 1;
       while (j < client_buf_.size() && client_buf_[j] == client_buf_[i]) ++j;
-      sk.clients.offer(util::ipv4_sketch_key(client_buf_[i]), j - i);
+      clients_.offer(util::ipv4_sketch_key(client_buf_[i]), j - i);
       i = j;
     }
-    for (const std::string& q : qname_buf_) sk.qnames.offer(q);
+    for (const std::string& q : qname_buf_) qnames_.offer(q);
     client_buf_.clear();
     qname_buf_.clear();
   }
 
-  // Seqlock publish (Boehm-style fences): odd epoch = write in progress.
-  Slot& slot = *owner_->slots_[index_];
-  const std::uint64_t e = slot.epoch.load(std::memory_order_relaxed);
-  slot.epoch.store(e + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
+  std::array<std::uint64_t, kSlotWords> words{};
   std::size_t w = 0;
-  const auto put = [&](std::uint64_t v) {
-    slot.words[w++].store(v, std::memory_order_relaxed);
-  };
-  put(stats.datagrams_received);
-  put(stats.responses_sent);
-  put(stats.dropped_malformed);
-  put(stats.dropped_timeout_fault);
-  put(stats.dropped_policy);
-  put(stats.truncated_queries);
-  put(stats.send_failures);
-  put(stats.recv_batches);
-  put(stats.formerr_sent);
-  put(stats.notimp_sent);
-  put(stats.refused_sent);
-  put(stats.rrl_dropped);
-  put(stats.rrl_slipped);
-  put(stats.shed_errors);
-  put(stats.shed_answers);
-  put(stats.cache_hits);
-  put(stats.cache_misses);
-  put(stats.edns_queries);
-  put(stats.tc_responses);
-  for (const std::uint64_t b : latency_.buckets) put(b);
-  put(latency_.count);
-  std::uint64_t sum_bits = 0;
-  std::memcpy(&sum_bits, &latency_.sum_us, sizeof sum_bits);
-  put(sum_bits);
-  put(sampled_);
-  put(slowlog_);
-  slot.epoch.store(e + 2, std::memory_order_release);
+  for (const UdpServeStatsField& f : kUdpServeStatsFields) words[w++] = stats.*f.member;
+  for (const std::uint64_t b : latency_.buckets) words[w++] = b;
+  words[w++] = latency_.count;
+  words[w++] = std::bit_cast<std::uint64_t>(latency_.sum_us);
+  words[w++] = sampled_;
+  words[w] = slowlog_;
+  slot_.publish(words);
+}
+
+bool ServeIntrospection::WorkerProbe::fold_into(Aggregate& agg) const {
+  std::array<std::uint64_t, kSlotWords> words{};
+  const bool consistent = slot_.read(words);
+  std::size_t w = 0;
+  for (const UdpServeStatsField& f : kUdpServeStatsFields) agg.totals.*f.member += words[w++];
+  for (std::uint64_t& b : agg.latency.buckets) b += words[w++];
+  agg.latency.count += words[w++];
+  agg.latency.sum_us += std::bit_cast<double>(words[w++]);
+  agg.sampled += words[w++];
+  agg.slowlog += words[w];
+  return consistent;
 }
 
 // -- ServeIntrospection -------------------------------------------------------
@@ -213,127 +162,42 @@ ServeIntrospection::ServeIntrospection(unsigned workers, ServeAdminConfig config
     : config_(config), started_(std::chrono::steady_clock::now()) {
   if (workers == 0) workers = 1;
   if (config_.top_k == 0) config_.top_k = 1;
-  if (config_.aggregate_interval_ms == 0) config_.aggregate_interval_ms = 250;
   probes_.reserve(workers);
   for (unsigned i = 0; i < workers; ++i) {
     probes_.emplace_back(std::unique_ptr<WorkerProbe>(new WorkerProbe(this, i)));
-    slots_.emplace_back(std::make_unique<Slot>());
-    sketches_.emplace_back(std::make_unique<WorkerSketches>(config_.top_k));
   }
 }
 
 ServeIntrospection::~ServeIntrospection() { stop(); }
 
-void ServeIntrospection::start() {
-  if (running_) return;
-  running_ = true;
-  {
-    const std::lock_guard<std::mutex> lock(wake_mu_);
-    stop_requested_ = false;
-  }
-  aggregator_ = std::thread([this] {
-    for (;;) {
-      {
-        std::unique_lock<std::mutex> lock(wake_mu_);
-        if (wake_cv_.wait_for(lock, std::chrono::milliseconds(config_.aggregate_interval_ms),
-                              [this] { return stop_requested_; })) {
-          break;
-        }
-      }
-      aggregate_pass();
-    }
-    aggregate_pass();  // leave a final fresh aggregate behind
-  });
-}
-
-void ServeIntrospection::stop() {
-  if (!running_) return;
-  {
-    const std::lock_guard<std::mutex> lock(wake_mu_);
-    stop_requested_ = true;
-  }
-  wake_cv_.notify_all();
-  if (aggregator_.joinable()) aggregator_.join();
-  running_ = false;
-}
-
-void ServeIntrospection::aggregate_now() { aggregate_pass(); }
-
 ServeIntrospection::Aggregate ServeIntrospection::aggregate() const {
-  const std::lock_guard<std::mutex> lock(agg_mu_);
+  const auto hold = aggregator_.pause();
   return latest_;
 }
 
-bool ServeIntrospection::read_slot(const Slot& slot, UdpServeStats& stats,
-                                   ServeLatencySnapshot& latency, std::uint64_t& sampled,
-                                   std::uint64_t& slowlog) {
-  std::array<std::uint64_t, Slot::kWords> copy{};
-  bool consistent = false;
-  for (int attempt = 0; attempt < 64 && !consistent; ++attempt) {
-    const std::uint64_t e1 = slot.epoch.load(std::memory_order_acquire);
-    if ((e1 & 1u) != 0) continue;
-    for (std::size_t i = 0; i < Slot::kWords; ++i) {
-      copy[i] = slot.words[i].load(std::memory_order_relaxed);
-    }
-    std::atomic_thread_fence(std::memory_order_acquire);
-    consistent = slot.epoch.load(std::memory_order_relaxed) == e1;
-  }
-  // After exhausting retries the last copy is used anyway: a torn monitoring
-  // sample beats a monitoring stall while a worker publishes continuously.
-  std::size_t w = 0;
-  const auto get = [&] { return copy[w++]; };
-  stats.datagrams_received = get();
-  stats.responses_sent = get();
-  stats.dropped_malformed = get();
-  stats.dropped_timeout_fault = get();
-  stats.dropped_policy = get();
-  stats.truncated_queries = get();
-  stats.send_failures = get();
-  stats.recv_batches = get();
-  stats.formerr_sent = get();
-  stats.notimp_sent = get();
-  stats.refused_sent = get();
-  stats.rrl_dropped = get();
-  stats.rrl_slipped = get();
-  stats.shed_errors = get();
-  stats.shed_answers = get();
-  stats.cache_hits = get();
-  stats.cache_misses = get();
-  stats.edns_queries = get();
-  stats.tc_responses = get();
-  for (std::uint64_t& b : latency.buckets) b = get();
-  latency.count = get();
-  const std::uint64_t sum_bits = get();
-  std::memcpy(&latency.sum_us, &sum_bits, sizeof latency.sum_us);
-  sampled = get();
-  slowlog = get();
-  return consistent;
-}
-
 void ServeIntrospection::aggregate_pass() {
-  const std::lock_guard<std::mutex> pass_lock(pass_mu_);
   Aggregate agg;
   util::SpaceSaving clients{config_.top_k};
   util::SpaceSaving qnames{config_.top_k};
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    UdpServeStats stats;
-    ServeLatencySnapshot lat;
-    std::uint64_t sampled = 0;
-    std::uint64_t slow = 0;
-    if (!read_slot(*slots_[i], stats, lat, sampled, slow)) {
-      metrics::counter("serve.admin_torn_reads").inc();
-    }
-    agg.totals += stats;
-    agg.latency += lat;
-    agg.sampled += sampled;
-    agg.slowlog += slow;
-    {
-      WorkerSketches& sk = *sketches_[i];
-      const std::lock_guard<std::mutex> lock(sk.mu);
-      clients.merge_from(sk.clients);
-      qnames.merge_from(sk.qnames);
-    }
+  for (const auto& probe : probes_) {
+    if (!probe->fold_into(agg)) metrics::counter("serve.admin_torn_reads").inc();
+    const std::lock_guard<std::mutex> lock(probe->sketch_mu_);
+    clients.merge_from(probe->clients_);
+    qnames.merge_from(probe->qnames_);
   }
+
+  // Render each count once: every exported serve.* counter grows by what
+  // the fold gained since the previous pass. A torn read never moves a
+  // field backwards; only a loop restarted on this plane could, and its
+  // field then renders nothing until it passes the old count.
+  UdpServeStats gained;
+  for (const UdpServeStatsField& f : kUdpServeStatsFields) {
+    const std::uint64_t now = agg.totals.*f.member;
+    std::uint64_t& seen = rendered_.*f.member;
+    gained.*f.member = now > seen ? now - seen : 0;
+    seen = std::max(seen, now);
+  }
+  render_serve_counters(gained);
 
   const double now_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - started_).count();
@@ -346,8 +210,8 @@ void ServeIntrospection::aggregate_pass() {
   agg.top_clients = clients.top(config_.top_k);
   agg.top_qnames = qnames.top(config_.top_k);
 
-  // Mirror the folded view into the global registry so the Prometheus
-  // exposition and the --metrics-interval JSONL stream carry it too.
+  // Mirror the rest of the folded view into the global registry so the
+  // Prometheus exposition and the --metrics-interval JSONL stream carry it.
   metrics::gauge("serve.qps_1s").set(std::llround(agg.qps_1s));
   metrics::gauge("serve.qps_10s").set(std::llround(agg.qps_10s));
   metrics::gauge("serve.qps_60s").set(std::llround(agg.qps_60s));
@@ -360,7 +224,6 @@ void ServeIntrospection::aggregate_pass() {
   metrics::gauge("serve.uptime_s").set(std::llround(agg.uptime_s));
   metrics::gauge("serve.log_level").set(static_cast<std::int64_t>(util::log_level()));
 
-  const std::lock_guard<std::mutex> lock(agg_mu_);
   latest_ = std::move(agg);
 }
 

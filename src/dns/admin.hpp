@@ -17,31 +17,30 @@
 ///     qname heavy-hitter sketches, and emits `serve.slowlog` journal
 ///     events above a latency threshold.
 ///
-/// Concurrency model (the snapshot pipeline of DESIGN.md §12). Each worker
-/// owns a WorkerProbe: plain local accumulators plus two Space-Saving
-/// sketches behind a per-worker mutex that only the aggregator ever
-/// contends. After every socket drain the worker publishes its counters and
-/// latency buckets into an epoch-versioned slot (a seqlock over relaxed
-/// atomic words: bump epoch odd, store words, bump epoch even). An
-/// aggregation thread folds all slots every `aggregate_interval_ms` into a
-/// single Aggregate — rate windows, percentiles, merged sketches — that the
-/// admin surfaces render. Workers never block on the admin plane, and a
-/// disabled plane costs the serving loop one pointer test per query.
+/// Concurrency model (the snapshot pipeline of DESIGN.md §12, built on
+/// util/live_plane.hpp). Each worker owns a WorkerProbe: plain local
+/// accumulators plus two Space-Saving sketches behind a per-worker mutex
+/// that only the aggregator ever contends. After every socket drain the
+/// worker publishes its counters and latency buckets into its
+/// util::SeqlockSlot. A util::PeriodicAggregator folds all slots every
+/// 250 ms into a single Aggregate — rate windows, percentiles, merged
+/// sketches — that the admin surfaces render, and renders the fold's new
+/// counts into the `serve.*` registry counters. Workers never block on the
+/// admin plane, and a disabled plane costs the serving loop one pointer
+/// test per query.
 
 #include <array>
-#include <atomic>
-#include <condition_variable>
+#include <chrono>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "dns/udp_server.hpp"
+#include "util/live_plane.hpp"
 #include "util/sketch.hpp"
 #include "util/time.hpp"
 
@@ -51,28 +50,6 @@ class AdminHttpServer;
 
 namespace rdns::dns {
 
-/// Rolling event-rate estimator over (timestamp, cumulative-count) samples:
-/// the aggregator appends one sample per pass and rate(w) differences the
-/// newest sample against the one at (or just before) the window boundary.
-class RateWindows {
- public:
-  explicit RateWindows(std::size_t max_samples = 512) : max_samples_(max_samples) {}
-
-  void add_sample(double at_s, std::uint64_t cumulative);
-
-  /// Average events/second over the trailing `window_s` (clamped to the
-  /// observed span); 0 before two samples exist.
-  [[nodiscard]] double rate(double window_s) const;
-
- private:
-  struct Sample {
-    double at_s = 0;
-    std::uint64_t cumulative = 0;
-  };
-  std::size_t max_samples_;
-  std::deque<Sample> samples_;
-};
-
 struct ServeAdminConfig {
   /// Sampled tracing: clock 1 query in `sample_every` (deterministic by
   /// txid hash). 0 disables sampling (and with it slowlog + qname top-K).
@@ -81,8 +58,6 @@ struct ServeAdminConfig {
   double slowlog_threshold_us = 1000.0;
   /// Capacity of the client/qname Space-Saving sketches.
   std::size_t top_k = 64;
-  /// Aggregation cadence of the admin thread.
-  unsigned aggregate_interval_ms = 250;
   /// Simulated timestamp stamped on serve.slowlog journal events (the
   /// frozen world instant — serving does not advance simulated time).
   util::SimTime sim_time = 0;
@@ -99,7 +74,6 @@ struct ServeLatencySnapshot {
   double sum_us = 0;
 
   [[nodiscard]] double percentile(double p) const noexcept;
-  ServeLatencySnapshot& operator+=(const ServeLatencySnapshot& other) noexcept;
 };
 
 class ServeIntrospection {
@@ -139,8 +113,10 @@ class ServeIntrospection {
 
    private:
     friend class ServeIntrospection;
-    WorkerProbe(ServeIntrospection* owner, unsigned index)
-        : owner_(owner), index_(index) {}
+    WorkerProbe(ServeIntrospection* owner, unsigned index);
+
+    /// Add the latest publication into `agg`; false when the read was torn.
+    bool fold_into(Aggregate& agg) const;
 
     ServeIntrospection* owner_;
     unsigned index_;
@@ -149,6 +125,11 @@ class ServeIntrospection {
     std::uint64_t slowlog_ = 0;
     std::vector<std::uint32_t> client_buf_;
     std::vector<std::string> qname_buf_;
+    util::SeqlockSlot slot_;
+
+    std::mutex sketch_mu_;  ///< guards the sketches (worker folds, aggregator merges)
+    util::SpaceSaving clients_;
+    util::SpaceSaving qnames_;
   };
 
   ServeIntrospection(unsigned workers, ServeAdminConfig config);
@@ -163,14 +144,14 @@ class ServeIntrospection {
   }
   [[nodiscard]] const ServeAdminConfig& config() const noexcept { return config_; }
 
-  /// Launch the aggregation thread (idempotent). stop() joins it; the
-  /// destructor calls stop().
-  void start();
-  void stop();
+  /// Launch the aggregation thread (idempotent). stop() joins it and runs
+  /// one final pass; the destructor calls stop().
+  void start() { aggregator_.start(); }
+  void stop() { aggregator_.stop(); }
 
   /// One synchronous aggregation pass (the admin surfaces call this before
   /// rendering so scrapes are fresh; tests drive it directly).
-  void aggregate_now();
+  void aggregate_now() { aggregator_.aggregate_now(); }
 
   /// Copy of the latest aggregate.
   [[nodiscard]] Aggregate aggregate() const;
@@ -194,50 +175,21 @@ class ServeIntrospection {
   void install_http_routes(net::AdminHttpServer& http);
 
  private:
-  /// Epoch-versioned publication slot: a seqlock over relaxed atomic words
-  /// (TSan-clean — every racing cell is an atomic; the epoch only decides
-  /// whether the reader's copy is a consistent snapshot).
-  struct Slot {
-    static constexpr std::size_t kWords = UdpServeStats::kFieldCount +
-                                          (kServeLatencyBuckets + 1) + 2 /*count,sum*/ +
-                                          2 /*sampled,slow*/;
-    std::atomic<std::uint64_t> epoch{0};
-    std::array<std::atomic<std::uint64_t>, kWords> words{};
-  };
-
-  struct WorkerSketches {
-    std::mutex mu;
-    util::SpaceSaving clients;
-    util::SpaceSaving qnames;
-    WorkerSketches(std::size_t k) : clients(k), qnames(k) {}
-  };
-
-  /// True when the slot yielded a consistent snapshot.
-  static bool read_slot(const Slot& slot, UdpServeStats& stats, ServeLatencySnapshot& latency,
-                        std::uint64_t& sampled, std::uint64_t& slowlog);
-
   void aggregate_pass();
   [[nodiscard]] std::optional<std::vector<std::string>> chaos_txt_strings(
       const std::string& qname);
 
   ServeAdminConfig config_;
   std::vector<std::unique_ptr<WorkerProbe>> probes_;
-  std::vector<std::unique_ptr<Slot>> slots_;
-  std::vector<std::unique_ptr<WorkerSketches>> sketches_;
   std::chrono::steady_clock::time_point started_;
 
-  std::mutex pass_mu_;  ///< serializes aggregate_pass (thread + on-demand)
-  RateWindows received_rate_;
-  RateWindows sent_rate_;
-
-  mutable std::mutex agg_mu_;
+  // Pass state, guarded by the aggregator's pass lock.
+  util::RateWindows received_rate_;
+  util::RateWindows sent_rate_;
+  UdpServeStats rendered_;  ///< counts already rendered into the registry
   Aggregate latest_;
 
-  std::thread aggregator_;
-  std::mutex wake_mu_;
-  std::condition_variable wake_cv_;
-  bool stop_requested_ = false;
-  bool running_ = false;
+  util::PeriodicAggregator aggregator_{[this] { aggregate_pass(); }};
 };
 
 /// Fast, allocation-light peek at the first question of a query datagram:

@@ -28,63 +28,19 @@ namespace {
 namespace metrics = rdns::util::metrics;
 namespace flight = rdns::util::flight;
 
-/// Serving-path accounting, shared by every worker (relaxed counters, so
-/// concurrent increments cost one RMW each — the registry's concurrency
-/// model). The latency histogram is timing-gated like every other clocked
-/// series.
-struct ServeMetrics {
-  metrics::Counter& received = metrics::counter("serve.datagrams_received");
-  metrics::Counter& sent = metrics::counter("serve.responses_sent");
-  metrics::Counter& dropped_malformed = metrics::counter("serve.dropped_malformed");
-  metrics::Counter& dropped_timeout_fault = metrics::counter("serve.dropped_timeout_fault");
-  metrics::Counter& dropped_policy = metrics::counter("serve.dropped_policy");
-  metrics::Counter& truncated = metrics::counter("serve.truncated_queries");
-  metrics::Counter& send_failures = metrics::counter("serve.send_failures");
-  metrics::Counter& formerr_sent = metrics::counter("serve.formerr_sent");
-  metrics::Counter& notimp_sent = metrics::counter("serve.notimp_sent");
-  metrics::Counter& refused_sent = metrics::counter("serve.refused_sent");
-  metrics::Counter& rrl_dropped = metrics::counter("serve.rrl_dropped");
-  metrics::Counter& rrl_slipped = metrics::counter("serve.rrl_slipped");
-  metrics::Counter& rrl_table_flushes = metrics::counter("serve.rrl_table_flushes");
-  metrics::Counter& shed_errors = metrics::counter("serve.shed_errors");
-  metrics::Counter& shed_answers = metrics::counter("serve.shed_answers");
-  metrics::Counter& cache_hits = metrics::counter("serve.cache_hits");
-  metrics::Counter& cache_misses = metrics::counter("serve.cache_misses");
-  metrics::Counter& edns_queries = metrics::counter("serve.edns_queries");
-  metrics::Counter& tc_responses = metrics::counter("serve.tc_responses");
-  metrics::Gauge& shed_level = metrics::gauge("serve.shed_level");
-  metrics::Histogram& batch_size = metrics::histogram(
-      "serve.recv_batch_size", metrics::Histogram::linear_bounds(1, 4, 16));
-};
-
-ServeMetrics& serve_metrics() {
-  static ServeMetrics m;
-  return m;
-}
-
 }  // namespace
 
 UdpServeStats& UdpServeStats::operator+=(const UdpServeStats& other) noexcept {
-  datagrams_received += other.datagrams_received;
-  responses_sent += other.responses_sent;
-  dropped_malformed += other.dropped_malformed;
-  dropped_timeout_fault += other.dropped_timeout_fault;
-  dropped_policy += other.dropped_policy;
-  truncated_queries += other.truncated_queries;
-  send_failures += other.send_failures;
-  recv_batches += other.recv_batches;
-  formerr_sent += other.formerr_sent;
-  notimp_sent += other.notimp_sent;
-  refused_sent += other.refused_sent;
-  rrl_dropped += other.rrl_dropped;
-  rrl_slipped += other.rrl_slipped;
-  shed_errors += other.shed_errors;
-  shed_answers += other.shed_answers;
-  cache_hits += other.cache_hits;
-  cache_misses += other.cache_misses;
-  edns_queries += other.edns_queries;
-  tc_responses += other.tc_responses;
+  for (const UdpServeStatsField& f : kUdpServeStatsFields) this->*f.member += other.*f.member;
   return *this;
+}
+
+void render_serve_counters(const UdpServeStats& delta) {
+  // A registry lookup per field: renders run a few times a second, never
+  // per query.
+  for (const UdpServeStatsField& f : kUdpServeStatsFields) {
+    if (f.exported) metrics::counter(std::string{"serve."} + f.name).inc(delta.*f.member);
+  }
 }
 
 struct UdpServerLoop::Worker {
@@ -156,6 +112,9 @@ bool UdpServerLoop::start(std::string* error) {
     workers_.push_back(std::move(worker));
   }
 
+  // A zero render registers the serve.* series, so /metrics lists them
+  // from the first scrape on.
+  render_serve_counters(UdpServeStats{});
   running_ = true;
   threads_.reserve(workers_.size());
   for (unsigned i = 0; i < workers_.size(); ++i) {
@@ -195,8 +154,18 @@ void UdpServerLoop::stop() {
   }
   threads_.clear();
   totals_ = {};
-  for (auto& worker : workers_) totals_ += worker->stats;
+  UdpServeStats unobserved;  // workers without an introspection probe
+  const unsigned observed =
+      options_.introspection != nullptr ? options_.introspection->workers() : 0;
+  for (unsigned i = 0; i < workers_.size(); ++i) {
+    totals_ += workers_[i]->stats;
+    if (i >= observed) unobserved += workers_[i]->stats;
+  }
   workers_.clear();
+  // Every worker has published its final stats, so this fold is exact: the
+  // plane renders what it observed, and the rest is rendered here.
+  if (options_.introspection != nullptr) options_.introspection->aggregate_now();
+  render_serve_counters(unobserved);
   if (wake_fd_ >= 0) ::close(wake_fd_);
   if (wake_write_fd_ >= 0 && wake_write_fd_ != wake_fd_) ::close(wake_write_fd_);
   wake_fd_ = wake_write_fd_ = -1;
@@ -205,7 +174,12 @@ void UdpServerLoop::stop() {
 
 void UdpServerLoop::run_worker(Worker& worker, unsigned index) {
   using Clock = std::chrono::steady_clock;
-  ServeMetrics& sm = serve_metrics();
+  // The three serve series that no UdpServeStats field mirrors; this
+  // loop is their only writer.
+  metrics::Histogram& batch_size = metrics::histogram(
+      "serve.recv_batch_size", metrics::Histogram::linear_bounds(1, 4, 16));
+  metrics::Gauge& shed_level = metrics::gauge("serve.shed_level");
+  metrics::Counter& rrl_table_flushes = metrics::counter("serve.rrl_table_flushes");
   ServeIntrospection::WorkerProbe* probe =
       options_.introspection != nullptr && index < options_.introspection->workers()
           ? &options_.introspection->probe(index)
@@ -279,7 +253,6 @@ void UdpServerLoop::run_worker(Worker& worker, unsigned index) {
       if (qe != 0) {
         len = AnswerCache::truncate_to_tc(reply, qe, pr.edns ? options_.edns_udp_size : 0);
         ++worker.stats.tc_responses;
-        sm.tc_responses.inc();
       }
     }
     return len;
@@ -334,9 +307,8 @@ void UdpServerLoop::run_worker(Worker& worker, unsigned index) {
         break;
       }
       ++worker.stats.recv_batches;
-      sm.batch_size.observe(static_cast<double>(got));
+      batch_size.observe(static_cast<double>(got));
       worker.stats.datagrams_received += got;
-      sm.received.inc(got);
 
       // Hot-reload invalidation: the switchboard bumps the epoch after
       // publishing a new generation; one acquire load per batch keeps the
@@ -360,7 +332,7 @@ void UdpServerLoop::run_worker(Worker& worker, unsigned index) {
       if (guard_on) {
         shed = guard.on_batch(got == options_.batch);
         if (shed != last_shed_level) {
-          sm.shed_level.set(static_cast<std::int64_t>(shed));
+          shed_level.set(static_cast<std::int64_t>(shed));
           flight::record(flight::Kind::ShedLevel, shed, index);
           last_shed_level = shed;
         }
@@ -372,7 +344,6 @@ void UdpServerLoop::run_worker(Worker& worker, unsigned index) {
           // Over-long datagram: the payload is a cut-off prefix, so any
           // parse would misfire. Drop it; a real resolver's retry covers.
           ++worker.stats.truncated_queries;
-          sm.truncated.inc();
           continue;
         }
         if (probe != nullptr) probe->note_client(query.peer.address);
@@ -381,7 +352,6 @@ void UdpServerLoop::run_worker(Worker& worker, unsigned index) {
           verdict = classify_query(query.payload, restrict_ptr);
           if (verdict.verdict == WireVerdict::SilentDrop) {
             ++worker.stats.dropped_malformed;
-            sm.dropped_malformed.inc();
             continue;
           }
           if (verdict.verdict != WireVerdict::Answer) {
@@ -390,22 +360,17 @@ void UdpServerLoop::run_worker(Worker& worker, unsigned index) {
             if (shed >= 1) {
               ++worker.stats.shed_errors;
               ++worker.stats.dropped_policy;
-              sm.shed_errors.inc();
-              sm.dropped_policy.inc();
               continue;
             }
             Rcode rcode = Rcode::Refused;
             if (verdict.verdict == WireVerdict::FormErr) {
               rcode = Rcode::FormErr;
               ++worker.stats.formerr_sent;
-              sm.formerr_sent.inc();
             } else if (verdict.verdict == WireVerdict::NotImp) {
               rcode = Rcode::NotImp;
               ++worker.stats.notimp_sent;
-              sm.notimp_sent.inc();
             } else {
               ++worker.stats.refused_sent;
-              sm.refused_sent.inc();
             }
             emit(make_guard_response(query.payload, verdict.question_end, rcode, /*tc=*/false),
                  query.peer);
@@ -422,14 +387,11 @@ void UdpServerLoop::run_worker(Worker& worker, unsigned index) {
                   (decision == ServeGuard::RrlDecision::Slip && shed >= 2)) {
                 ++worker.stats.rrl_dropped;
                 ++worker.stats.dropped_policy;
-                sm.rrl_dropped.inc();
-                sm.dropped_policy.inc();
                 flight::record(flight::Kind::RrlDrop, query.peer.address, index);
                 continue;
               }
               if (decision == ServeGuard::RrlDecision::Slip) {
                 ++worker.stats.rrl_slipped;
-                sm.rrl_slipped.inc();
                 flight::record(flight::Kind::RrlSlip, query.peer.address, index);
                 emit(make_guard_response(query.payload, verdict.question_end, Rcode::NoError,
                                          /*tc=*/true),
@@ -437,15 +399,13 @@ void UdpServerLoop::run_worker(Worker& worker, unsigned index) {
                 continue;
               }
               if (guard.table_flushes() != last_table_flushes) {
-                sm.rrl_table_flushes.inc(guard.table_flushes() - last_table_flushes);
+                rrl_table_flushes.inc(guard.table_flushes() - last_table_flushes);
                 last_table_flushes = guard.table_flushes();
               }
             }
             if (shed >= 3 && guard.shed_answer()) {
               ++worker.stats.shed_answers;
               ++worker.stats.dropped_policy;
-              sm.shed_answers.inc();
-              sm.dropped_policy.inc();
               continue;
             }
           }
@@ -465,13 +425,9 @@ void UdpServerLoop::run_worker(Worker& worker, unsigned index) {
         AnswerCache::Probe pr;
         if (cache_armed && cache != nullptr) {
           pr = cache->probe(query.payload);
-          if (pr.edns) {
-            ++worker.stats.edns_queries;
-            sm.edns_queries.inc();
-          }
+          if (pr.edns) ++worker.stats.edns_queries;
           if (pr.hit) {
             ++worker.stats.cache_hits;
-            sm.cache_hits.inc();
             const std::size_t off = slab.size();
             slab.resize(off + AnswerCache::reply_size(pr) + 11);
             std::size_t len = AnswerCache::assemble(pr, query.payload, slab.data() + off);
@@ -490,7 +446,6 @@ void UdpServerLoop::run_worker(Worker& worker, unsigned index) {
             continue;
           }
           ++worker.stats.cache_misses;
-          sm.cache_misses.inc();
         }
 
         auto response = worker.handler(query.payload);
@@ -503,7 +458,6 @@ void UdpServerLoop::run_worker(Worker& worker, unsigned index) {
         if (!response) {
           // Injected timeout (or, unguarded, undecodable input): silence.
           ++worker.stats.dropped_timeout_fault;
-          sm.dropped_timeout_fault.inc();
           continue;
         }
         if (cache_armed) {
@@ -534,24 +488,14 @@ void UdpServerLoop::run_worker(Worker& worker, unsigned index) {
         }
         const std::size_t sent = worker.socket.send_batch(views.data(), views.size());
         worker.stats.responses_sent += sent;
-        sm.sent.inc(sent);
-        if (sent < views.size()) {
-          const std::uint64_t lost = views.size() - sent;
-          worker.stats.send_failures += lost;
-          sm.send_failures.inc(lost);
-        }
+        worker.stats.send_failures += views.size() - sent;
         slab.clear();
         slab_replies.clear();
       }
       if (!outbound.empty()) {
         const std::size_t sent = worker.socket.send_batch(outbound.data(), outbound.size());
         worker.stats.responses_sent += sent;
-        sm.sent.inc(sent);
-        if (sent < outbound.size()) {
-          const std::uint64_t lost = outbound.size() - sent;
-          worker.stats.send_failures += lost;
-          sm.send_failures.inc(lost);
-        }
+        worker.stats.send_failures += outbound.size() - sent;
       }
       // Publish once per batch: the aggregator reads a consistent snapshot
       // without ever touching the worker's cache lines mid-datagram.

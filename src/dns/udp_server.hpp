@@ -24,6 +24,7 @@
 /// input, drain what the kernel already accepted (bounded by
 /// `drain_deadline_ms`), flush their final sendmmsg batches, and exit.
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -74,8 +75,6 @@ struct UdpServeStats {
   std::uint64_t cache_misses = 0;           ///< cache armed but the handler answered
   std::uint64_t edns_queries = 0;           ///< queries carrying a well-formed OPT RR
   std::uint64_t tc_responses = 0;           ///< replies truncated to TC=1 (size limit)
-  /// Number of stat words a seqlock slot needs (dns/admin.hpp).
-  static constexpr std::size_t kFieldCount = 19;
 
   /// Silent drops across all three causes (the pre-split
   /// `dropped_no_answer` aggregate, kept for summaries).
@@ -85,6 +84,46 @@ struct UdpServeStats {
 
   UdpServeStats& operator+=(const UdpServeStats& other) noexcept;
 };
+
+/// One UdpServeStats counter: its name and its member.
+struct UdpServeStatsField {
+  const char* name;
+  std::uint64_t UdpServeStats::*member;
+  /// Rendered as the `serve.<name>` registry counter and carried by the
+  /// serve.stop journal event; false for loop-internal tallies.
+  bool exported;
+};
+
+/// Every UdpServeStats counter, in declaration order — the one list that
+/// folding, the introspection slot, the registry render and the serve.stop
+/// event iterate.
+inline constexpr auto kUdpServeStatsFields = std::to_array<UdpServeStatsField>({
+    {"datagrams_received", &UdpServeStats::datagrams_received, true},
+    {"responses_sent", &UdpServeStats::responses_sent, true},
+    {"dropped_malformed", &UdpServeStats::dropped_malformed, true},
+    {"dropped_timeout_fault", &UdpServeStats::dropped_timeout_fault, true},
+    {"dropped_policy", &UdpServeStats::dropped_policy, true},
+    {"truncated_queries", &UdpServeStats::truncated_queries, true},
+    {"send_failures", &UdpServeStats::send_failures, true},
+    {"recv_batches", &UdpServeStats::recv_batches, false},
+    {"formerr_sent", &UdpServeStats::formerr_sent, true},
+    {"notimp_sent", &UdpServeStats::notimp_sent, true},
+    {"refused_sent", &UdpServeStats::refused_sent, true},
+    {"rrl_dropped", &UdpServeStats::rrl_dropped, true},
+    {"rrl_slipped", &UdpServeStats::rrl_slipped, true},
+    {"shed_errors", &UdpServeStats::shed_errors, true},
+    {"shed_answers", &UdpServeStats::shed_answers, true},
+    {"cache_hits", &UdpServeStats::cache_hits, true},
+    {"cache_misses", &UdpServeStats::cache_misses, true},
+    {"edns_queries", &UdpServeStats::edns_queries, true},
+    {"tc_responses", &UdpServeStats::tc_responses, true},
+});
+
+/// Add `delta` to the `serve.<name>` registry counter of every exported
+/// field. Each count is rendered once: by the introspection plane's
+/// aggregate pass for the workers it observes, by UdpServerLoop::stop()
+/// for the rest (DESIGN.md §12).
+void render_serve_counters(const UdpServeStats& delta);
 
 struct UdpServeOptions {
   /// Bind endpoint; port 0 = kernel-assigned (read back via endpoint()).
@@ -98,9 +137,10 @@ struct UdpServeOptions {
   /// kernel's already-accepted backlog before exiting (a flood would
   /// otherwise keep the drain loop fed forever).
   unsigned drain_deadline_ms = 2000;
-  /// Optional live introspection plane (dns/admin.hpp): when set (and
-  /// sized for >= `threads` workers), each worker feeds its probe — sampled
-  /// latency, heavy-hitter sketches, seqlock stat slots. When null the
+  /// Optional live introspection plane (dns/admin.hpp): when set, each
+  /// worker with a probe (index < workers()) feeds it — sampled latency,
+  /// heavy-hitter sketches, seqlock stat slots. The plane must outlive
+  /// stop(), which folds the final counts through it. When null the
   /// serving loop pays exactly one pointer test per query.
   ServeIntrospection* introspection = nullptr;
   /// Pre-serialized answer cache (dns/answer_cache.hpp). When set, each
@@ -162,7 +202,7 @@ class UdpServerLoop {
   }
 
   /// Merged per-worker totals. Stable only after stop(); while the loop
-  /// runs, watch the `serve.*` counters in util::metrics instead.
+  /// runs, watch an introspection plane's aggregate instead.
   [[nodiscard]] const UdpServeStats& stats() const noexcept { return totals_; }
 
  private:

@@ -4,7 +4,6 @@
 #include <cinttypes>
 #include <cstdio>
 
-#include "dns/admin.hpp"  // RateWindows
 #include "net/admin_http.hpp"
 #include "util/ascii_chart.hpp"
 #include "util/journal.hpp"
@@ -18,7 +17,7 @@ namespace {
 namespace metrics = rdns::util::metrics;
 namespace journal = rdns::util::journal;
 
-/// Slot word layout (must match ShardProbe::publish).
+/// ShardProbe::counts_ layout.
 enum Word : std::size_t {
   kDone = 0,
   kRows,
@@ -65,41 +64,18 @@ std::string format_status_line(const SweepProgressPlane::Snapshot& snap,
 
 }  // namespace
 
-/// RateWindows are kept out of the header (dns/admin.hpp stays a .cpp-only
-/// dependency of the scan module).
-struct ProgressRates {
-  dns::RateWindows rows;
-  dns::RateWindows shards;
-};
-
 // -- ShardProbe ---------------------------------------------------------------
 
 void SweepProgressPlane::ShardProbe::on_shard_finish(std::uint64_t rows, std::uint64_t queries,
                                                      std::uint64_t retries, bool degraded,
                                                      std::uint64_t reruns) noexcept {
-  ++done_;
-  rows_ += rows;
-  queries_ += queries;
-  retries_ += retries;
-  if (degraded) ++degraded_;
-  reruns_ += reruns;
+  ++counts_[kDone];
+  counts_[kRows] += rows;
+  counts_[kQueries] += queries;
+  counts_[kRetries] += retries;
+  if (degraded) ++counts_[kDegraded];
+  counts_[kReruns] += reruns;
   publish();
-}
-
-void SweepProgressPlane::ShardProbe::publish() noexcept {
-  // Seqlock write (dns::ServeIntrospection's protocol): odd epoch marks
-  // the slot in flux, the release fence orders the payload before it, and
-  // the final release store publishes epoch+2 with the payload visible.
-  const std::uint64_t e = slot_.epoch.load(std::memory_order_relaxed);
-  slot_.epoch.store(e + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  slot_.words[kDone].store(done_, std::memory_order_relaxed);
-  slot_.words[kRows].store(rows_, std::memory_order_relaxed);
-  slot_.words[kQueries].store(queries_, std::memory_order_relaxed);
-  slot_.words[kRetries].store(retries_, std::memory_order_relaxed);
-  slot_.words[kDegraded].store(degraded_, std::memory_order_relaxed);
-  slot_.words[kReruns].store(reruns_, std::memory_order_relaxed);
-  slot_.epoch.store(e + 2, std::memory_order_release);
 }
 
 // -- SweepProgressPlane -------------------------------------------------------
@@ -108,57 +84,41 @@ SweepProgressPlane::SweepProgressPlane() : SweepProgressPlane(Options{}) {}
 
 SweepProgressPlane::SweepProgressPlane(const Options& options)
     : options_(options),
-      rates_(std::make_unique<ProgressRates>()),
-      started_at_(std::chrono::steady_clock::now()) {
-  if (options_.aggregate_interval_ms == 0) options_.aggregate_interval_ms = 250;
-}
+      started_at_(std::chrono::steady_clock::now()),
+      aggregator_([this] { aggregate_pass(); }, options.aggregate_interval_ms) {}
 
 SweepProgressPlane::~SweepProgressPlane() { stop(); }
 
 void SweepProgressPlane::start() {
-  if (running_) return;
-  stop_.store(false, std::memory_order_relaxed);
+  if (aggregator_.running()) return;
   started_at_ = std::chrono::steady_clock::now();
-  thread_ = std::thread([this] { run(); });
-  running_ = true;
+  aggregator_.start();
 }
 
 void SweepProgressPlane::stop() {
-  if (!running_) return;
-  stop_.store(true, std::memory_order_relaxed);
-  wake_cv_.notify_all();
-  thread_.join();
-  running_ = false;
-  aggregate_pass();  // fold the final probe state
+  if (!aggregator_.running()) return;
+  aggregator_.stop();  // folds the final probe state
   if (options_.tty_status) {
     std::fputs("\n", stderr);
     std::fflush(stderr);
   }
 }
 
-void SweepProgressPlane::run() {
-  std::unique_lock<std::mutex> lock{wake_mu_};
-  while (!stop_.load(std::memory_order_relaxed)) {
-    wake_cv_.wait_for(lock, std::chrono::milliseconds(options_.aggregate_interval_ms));
-    if (stop_.load(std::memory_order_relaxed)) break;
-    lock.unlock();
-    aggregate_pass();
-    lock.lock();
-  }
-}
-
 void SweepProgressPlane::begin_pass(std::size_t shards_total, std::size_t skipped,
                                     std::string day, util::SimTime now) {
-  std::uint64_t totals[ShardProbe::kWords] = {};
-  fold_totals(totals, nullptr);
-  pass_base_done_.store(totals[kDone], std::memory_order_relaxed);
-  pass_total_.store(shards_total, std::memory_order_relaxed);
-  pass_skipped_.store(skipped, std::memory_order_relaxed);
-  sim_now_.store(static_cast<std::uint64_t>(now), std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock{day_mu_};
-    day_ = std::move(day);
-  }
+  const ShardProbe::Counts totals = fold_totals(nullptr);
+  const auto hold = aggregator_.pause();
+  pass_base_done_ = totals[kDone];
+  pass_total_ = shards_total;
+  pass_skipped_ = skipped;
+  sim_now_ = now;
+  day_ = std::move(day);
+  pass_open_ = true;
+}
+
+void SweepProgressPlane::end_pass() {
+  const auto hold = aggregator_.pause();
+  pass_open_ = false;
 }
 
 SweepProgressPlane::ShardProbe* SweepProgressPlane::acquire_probe() {
@@ -179,43 +139,29 @@ void SweepProgressPlane::release_probe(ShardProbe* probe) {
   free_.push_back(probe);
 }
 
-void SweepProgressPlane::fold_totals(std::uint64_t (&totals)[ShardProbe::kWords],
-                                     std::size_t* probe_count) const {
+SweepProgressPlane::ShardProbe::Counts SweepProgressPlane::fold_totals(
+    std::size_t* probe_count) const {
+  ShardProbe::Counts totals{};
   std::lock_guard<std::mutex> lock{probes_mu_};
   if (probe_count != nullptr) *probe_count = probes_.size();
   for (const auto& probe : probes_) {
-    const ShardProbe::Slot& slot = probe->slot_;
-    std::uint64_t words[ShardProbe::kWords] = {};
-    bool consistent = false;
-    for (int attempt = 0; attempt < 64 && !consistent; ++attempt) {
-      const std::uint64_t e1 = slot.epoch.load(std::memory_order_acquire);
-      if (e1 & 1) continue;  // writer mid-publish
-      for (std::size_t w = 0; w < ShardProbe::kWords; ++w) {
-        words[w] = slot.words[w].load(std::memory_order_relaxed);
-      }
-      std::atomic_thread_fence(std::memory_order_acquire);
-      consistent = slot.epoch.load(std::memory_order_relaxed) == e1;
-    }
-    // After 64 attempts use the torn copy anyway: progress is advisory,
-    // and the next pass (250 ms later) self-heals. Count it.
-    if (!consistent) progress_gauges().torn_reads.inc();
-    for (std::size_t w = 0; w < ShardProbe::kWords; ++w) totals[w] += words[w];
+    ShardProbe::Counts words{};
+    // A torn copy is used anyway: progress is advisory, and the next pass
+    // (250 ms later) self-heals. Count it.
+    if (!probe->slot_.read(words)) progress_gauges().torn_reads.inc();
+    for (std::size_t w = 0; w < words.size(); ++w) totals[w] += words[w];
   }
+  return totals;
 }
 
-void SweepProgressPlane::aggregate_now() { aggregate_pass(); }
-
 void SweepProgressPlane::aggregate_pass() {
-  std::lock_guard<std::mutex> pass_lock{pass_mu_};
-  std::uint64_t totals[ShardProbe::kWords] = {};
   Snapshot snap;
-  fold_totals(totals, &snap.probes);
+  const ShardProbe::Counts totals = fold_totals(&snap.probes);
 
-  const std::uint64_t skipped = pass_skipped_.load(std::memory_order_relaxed);
-  const std::uint64_t base = pass_base_done_.load(std::memory_order_relaxed);
-  const std::uint64_t done_in_pass = totals[kDone] > base ? totals[kDone] - base : 0;
-  snap.shards_total = pass_total_.load(std::memory_order_relaxed);
-  snap.shards_done = std::min<std::uint64_t>(done_in_pass + skipped, snap.shards_total);
+  const std::uint64_t done_in_pass =
+      totals[kDone] > pass_base_done_ ? totals[kDone] - pass_base_done_ : 0;
+  snap.shards_total = pass_total_;
+  snap.shards_done = std::min<std::uint64_t>(done_in_pass + pass_skipped_, snap.shards_total);
   snap.rows = totals[kRows];
   snap.queries = totals[kQueries];
   snap.retries = totals[kRetries];
@@ -224,17 +170,14 @@ void SweepProgressPlane::aggregate_pass() {
   snap.uptime_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                                 started_at_)
                       .count();
-  {
-    std::lock_guard<std::mutex> lock{day_mu_};
-    snap.day = day_;
-  }
+  snap.day = day_;
 
-  rates_->rows.add_sample(snap.uptime_s, snap.rows);
-  rates_->shards.add_sample(snap.uptime_s, totals[kDone]);
-  snap.rows_per_s_1s = rates_->rows.rate(1.0);
-  snap.rows_per_s_10s = rates_->rows.rate(10.0);
-  snap.rows_per_s_60s = rates_->rows.rate(60.0);
-  snap.shards_per_s_10s = rates_->shards.rate(10.0);
+  rows_rate_.add_sample(snap.uptime_s, snap.rows);
+  shards_rate_.add_sample(snap.uptime_s, totals[kDone]);
+  snap.rows_per_s_1s = rows_rate_.rate(1.0);
+  snap.rows_per_s_10s = rows_rate_.rate(10.0);
+  snap.rows_per_s_60s = rows_rate_.rate(60.0);
+  snap.shards_per_s_10s = shards_rate_.rate(10.0);
   if (snap.shards_total > 0) {
     snap.percent =
         100.0 * static_cast<double>(snap.shards_done) / static_cast<double>(snap.shards_total);
@@ -252,23 +195,19 @@ void SweepProgressPlane::aggregate_pass() {
   gauges.shards_done.set(static_cast<std::int64_t>(snap.shards_done));
   gauges.eta_s.set(static_cast<std::int64_t>(snap.eta_s > 0 ? snap.eta_s : 0));
 
+  latest_ = snap;
   rate_history_.push_back(snap.rows_per_s_1s);
   while (rate_history_.size() > 64) rate_history_.pop_front();
 
-  {
-    std::lock_guard<std::mutex> lock{agg_mu_};
-    latest_ = snap;
-  }
-
   ++passes_;
-  // Journal cadence: sim-time stamped (the sweep clock is frozen per
-  // pass, so non-decreasing `t` holds across passes) but only when armed
-  // — the default journal stream stays wall-time free and deterministic.
-  if (options_.journal_every > 0 && passes_ % options_.journal_every == 0 &&
+  // Journal cadence: stamped with the open pass's frozen sim clock, and
+  // only while a pass is open (after end_pass the world simulates on) and
+  // a journal is armed — the default stream stays wall-time free and
+  // deterministic.
+  if (pass_open_ && options_.journal_every > 0 && passes_ % options_.journal_every == 0 &&
       snap.shards_total > 0) {
     if (auto* j = journal::active()) {
-      journal::Event e{"sweep.progress",
-                       static_cast<util::SimTime>(sim_now_.load(std::memory_order_relaxed))};
+      journal::Event e{"sweep.progress", sim_now_};
       e.str("day", snap.day)
           .unum("shards_done", snap.shards_done)
           .unum("shards_total", snap.shards_total)
@@ -282,8 +221,8 @@ void SweepProgressPlane::aggregate_pass() {
   }
 
   if (options_.tty_status) {
-    // Rendered inline (pass_mu_ is held): re-entering render_status_line
-    // here would self-deadlock on the history lock.
+    // Rendered inline (the pass lock is held): calling render_status_line
+    // here would self-deadlock.
     const std::string spark = util::render_sparkline(
         std::vector<double>(rate_history_.begin(), rate_history_.end()), 24);
     const std::string line = format_status_line(snap, spark);
@@ -293,7 +232,7 @@ void SweepProgressPlane::aggregate_pass() {
 }
 
 SweepProgressPlane::Snapshot SweepProgressPlane::snapshot() const {
-  std::lock_guard<std::mutex> lock{agg_mu_};
+  const auto hold = aggregator_.pause();
   return latest_;
 }
 
@@ -325,14 +264,10 @@ std::string SweepProgressPlane::render_progress_json() const {
 }
 
 std::string SweepProgressPlane::render_status_line() const {
-  const Snapshot snap = snapshot();
-  std::string spark;
-  {
-    std::lock_guard<std::mutex> lock{pass_mu_};
-    spark = util::render_sparkline(
-        std::vector<double>(rate_history_.begin(), rate_history_.end()), 24);
-  }
-  return format_status_line(snap, spark);
+  const auto hold = aggregator_.pause();
+  const std::string spark = util::render_sparkline(
+      std::vector<double>(rate_history_.begin(), rate_history_.end()), 24);
+  return format_status_line(latest_, spark);
 }
 
 std::string SweepProgressPlane::render_prometheus() const {

@@ -1,10 +1,9 @@
 #pragma once
 /// \file progress.hpp
 /// Live progress plane for wire sweeps — the scan-side sibling of
-/// dns::ServeIntrospection (PR 7), built on the same seqlock probe
-/// design:
+/// dns::ServeIntrospection, built on the same util/live_plane.hpp pieces:
 ///
-///   sweep workers --> ShardProbe (per-lease seqlock slot, relaxed words)
+///   sweep workers --> ShardProbe (per-lease util::SeqlockSlot)
 ///                         |
 ///                  aggregation thread (~250 ms): fold slots -> totals,
 ///                  RateWindows rows/s + shards/s, ETA, peak RSS, and
@@ -26,22 +25,22 @@
 /// id seeds and the ordered-merge consumer are untouched, so the sweep
 /// CSV stays byte-identical at any thread count with the plane armed.
 /// `sweep.progress` journal events are stamped with the frozen sim clock
-/// (non-decreasing `t` holds) but their interleaving with worker-emitted
+/// of the open pass and only journaled between begin_pass and end_pass,
+/// so non-decreasing `t` holds; their interleaving with worker-emitted
 /// shard events depends on wall time — which is why the plane is opt-in
 /// (--progress / --admin-port) and byte-identity is promised for the CSV,
 /// not the journal, when armed.
 
-#include <atomic>
+#include <array>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "util/live_plane.hpp"
 #include "util/time.hpp"
 
 namespace rdns::net {
@@ -53,7 +52,7 @@ namespace rdns::scan {
 class SweepProgressPlane {
  public:
   struct Options {
-    unsigned aggregate_interval_ms = 250;
+    unsigned aggregate_interval_ms = util::PeriodicAggregator::kDefaultIntervalMs;
     /// Render a `\r` status line (with a rows/s sparkline) to stderr on
     /// every aggregation pass.
     bool tty_status = false;
@@ -85,8 +84,7 @@ class SweepProgressPlane {
   };
 
   /// Per-lease seqlock probe: the owning worker accumulates plain local
-  /// counters and publish() writes them into an epoch-versioned slot of
-  /// relaxed atomics (write side of dns::ServeIntrospection's protocol).
+  /// counters and publish() writes them into its util::SeqlockSlot.
   class ShardProbe {
    public:
     /// Publish current totals so a freshly leased probe becomes visible
@@ -94,25 +92,16 @@ class SweepProgressPlane {
     void on_shard_start() noexcept { publish(); }
     void on_shard_finish(std::uint64_t rows, std::uint64_t queries, std::uint64_t retries,
                          bool degraded, std::uint64_t reruns) noexcept;
-    /// Publish the cumulative counters (seqlock write protocol).
-    void publish() noexcept;
+    /// Publish the cumulative counters.
+    void publish() noexcept { slot_.publish(counts_); }
 
    private:
     friend class SweepProgressPlane;
     static constexpr std::size_t kWords = 6;
+    using Counts = std::array<std::uint64_t, kWords>;
 
-    struct Slot {
-      std::atomic<std::uint64_t> epoch{0};
-      std::atomic<std::uint64_t> words[kWords] = {};
-    };
-
-    std::uint64_t done_ = 0;
-    std::uint64_t rows_ = 0;
-    std::uint64_t queries_ = 0;
-    std::uint64_t retries_ = 0;
-    std::uint64_t degraded_ = 0;
-    std::uint64_t reruns_ = 0;
-    Slot slot_;
+    Counts counts_{};  ///< done, rows, queries, retries, degraded, reruns
+    util::SeqlockSlot slot_{kWords};
   };
 
   SweepProgressPlane();
@@ -124,7 +113,7 @@ class SweepProgressPlane {
 
   /// Launch the aggregation thread. Idempotent.
   void start();
-  /// Final aggregation pass, stop the thread, finish the TTY line.
+  /// Stop the thread, run a final aggregation pass, finish the TTY line.
   void stop();
 
   /// Announce one sweep pass (sweep_wire calls this before sharding).
@@ -132,6 +121,10 @@ class SweepProgressPlane {
   /// count as done immediately; `now` stamps this pass's journal events.
   void begin_pass(std::size_t shards_total, std::size_t skipped, std::string day,
                   util::SimTime now);
+  /// Close the pass (sweep_wire calls this after its last shard). Until
+  /// the next begin_pass no `sweep.progress` event is journaled, so none
+  /// is stamped with an instant the world has already simulated past.
+  void end_pass();
 
   /// Lease a probe for one shard task (creates one if all are leased; the
   /// pool bounds concurrency, so the pool size bounds the probe count).
@@ -140,7 +133,7 @@ class SweepProgressPlane {
 
   /// Fold the probe slots now (also runs every aggregate_interval_ms on
   /// the plane thread).
-  void aggregate_now();
+  void aggregate_now() { aggregator_.aggregate_now(); }
   [[nodiscard]] Snapshot snapshot() const;
 
   /// `rdns.sweep-progress.v1` JSON document for /progress.json.
@@ -153,9 +146,8 @@ class SweepProgressPlane {
   void install_http_routes(net::AdminHttpServer& http);
 
  private:
-  void fold_totals(std::uint64_t (&totals)[ShardProbe::kWords], std::size_t* probe_count) const;
+  [[nodiscard]] ShardProbe::Counts fold_totals(std::size_t* probe_count) const;
   void aggregate_pass();
-  void run();
 
   Options options_;
 
@@ -163,27 +155,23 @@ class SweepProgressPlane {
   std::vector<std::unique_ptr<ShardProbe>> probes_;
   std::vector<ShardProbe*> free_;
 
-  std::atomic<std::uint64_t> pass_total_{0};
-  std::atomic<std::uint64_t> pass_base_done_{0};  ///< probe shards done when the pass began
-  std::atomic<std::uint64_t> pass_skipped_{0};
-  std::atomic<std::uint64_t> sim_now_{0};
-  mutable std::mutex day_mu_;
+  // The announced pass: written under aggregator_.pause(), read by passes.
+  std::uint64_t pass_total_ = 0;
+  std::uint64_t pass_base_done_ = 0;  ///< probe shards done when the pass began
+  std::uint64_t pass_skipped_ = 0;
+  util::SimTime sim_now_ = 0;
   std::string day_;
+  bool pass_open_ = false;  ///< between begin_pass and end_pass
 
-  mutable std::mutex agg_mu_;  ///< guards latest_
-  Snapshot latest_;
-
-  mutable std::mutex pass_mu_;  ///< serializes aggregate passes + their state below
-  std::unique_ptr<struct ProgressRates> rates_;  ///< RateWindows live in the .cpp
-  std::deque<double> rate_history_;
+  // Pass state, guarded by the aggregator's pass lock.
+  util::RateWindows rows_rate_;
+  util::RateWindows shards_rate_;
   unsigned passes_ = 0;
-
-  std::mutex wake_mu_;
-  std::condition_variable wake_cv_;
-  std::thread thread_;
-  std::atomic<bool> stop_{false};
-  bool running_ = false;
   std::chrono::steady_clock::time_point started_at_{};
+  Snapshot latest_;
+  std::deque<double> rate_history_;
+
+  util::PeriodicAggregator aggregator_;
 };
 
 /// RAII lease used by sweep_wire workers; tolerates a null plane.

@@ -394,6 +394,7 @@ std::uint64_t sweep_wire(sim::World& world, const util::CivilDate& date, Snapsho
         }
         merge.put(shard_index, std::move(out));
       });
+  if (options.progress != nullptr) options.progress->end_pass();
 
   world.merge_server_stats(server_totals);
   if (stats_out != nullptr) *stats_out = resolver_totals;

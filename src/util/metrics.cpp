@@ -36,7 +36,6 @@ void Histogram::observe(double value) noexcept {
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
   const std::size_t bucket = static_cast<std::size_t>(it - bounds_.begin());
   counts_[bucket].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
   // Fold `value` into the double-typed sum with a CAS loop (portable
   // equivalent of C++20 atomic<double>::fetch_add).
   std::uint64_t expected = sum_bits_.load(std::memory_order_relaxed);
@@ -51,26 +50,44 @@ double Histogram::sum() const noexcept {
   return std::bit_cast<double>(sum_bits_.load(std::memory_order_relaxed));
 }
 
-double Histogram::percentile(double p) const noexcept {
-  const std::uint64_t total = count();
+std::uint64_t Histogram::count() const noexcept {
+  std::uint64_t total = 0;
+  for (const auto& c : counts_) total += c.load(std::memory_order_relaxed);
+  return total;
+}
+
+Histogram::Snapshot Histogram::snapshot() const {
+  Snapshot snap;
+  for (const auto& c : counts_) {
+    snap.buckets.push_back(c.load(std::memory_order_relaxed));
+    snap.count += snap.buckets.back();
+  }
+  return snap;
+}
+
+double Histogram::percentile(const Snapshot& snap, double p) const noexcept {
+  return bucket_percentile(bounds_, snap.buckets, p);
+}
+
+double bucket_percentile(std::span<const double> bounds, std::span<const std::uint64_t> buckets,
+                         double p) noexcept {
+  std::uint64_t total = 0;
+  for (const std::uint64_t b : buckets) total += b;
   if (total == 0) return 0.0;
-  p = std::clamp(p, 0.0, 100.0);
-  const double rank = p / 100.0 * static_cast<double>(total);
+  const double rank = std::clamp(p, 0.0, 100.0) / 100.0 * static_cast<double>(total);
   std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const std::uint64_t in_bucket = counts_[i].load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < buckets.size(); ++i) {
+    const std::uint64_t in_bucket = buckets[i];
     if (in_bucket == 0) continue;
-    const double next = static_cast<double>(cumulative + in_bucket);
-    if (next >= rank) {
-      if (i == bounds_.size()) return bounds_.back();  // overflow bucket clamps
-      const double lower = i == 0 ? 0.0 : bounds_[i - 1];
-      const double upper = bounds_[i];
+    if (static_cast<double>(cumulative + in_bucket) >= rank) {
+      if (i == bounds.size()) return bounds.back();  // overflow bucket clamps
+      const double lower = i == 0 ? 0.0 : bounds[i - 1];
       const double into = std::max(0.0, rank - static_cast<double>(cumulative));
-      return lower + (upper - lower) * into / static_cast<double>(in_bucket);
+      return lower + (bounds[i] - lower) * into / static_cast<double>(in_bucket);
     }
     cumulative += in_bucket;
   }
-  return bounds_.back();
+  return bounds.back();
 }
 
 void Histogram::merge_from(const Histogram& other) noexcept {
@@ -79,7 +96,6 @@ void Histogram::merge_from(const Histogram& other) noexcept {
     counts_[i].fetch_add(other.counts_[i].load(std::memory_order_relaxed),
                          std::memory_order_relaxed);
   }
-  count_.fetch_add(other.count(), std::memory_order_relaxed);
   std::uint64_t expected = sum_bits_.load(std::memory_order_relaxed);
   const double delta = other.sum();
   for (;;) {
@@ -91,7 +107,6 @@ void Histogram::merge_from(const Histogram& other) noexcept {
 
 void Histogram::reset() noexcept {
   for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
   sum_bits_.store(0, std::memory_order_relaxed);
 }
 
@@ -224,12 +239,13 @@ std::string json_number(double v) {
 namespace {
 
 void write_histogram_json(std::ostream& out, const Histogram& h, const std::string& pad) {
+  const Histogram::Snapshot snap = h.snapshot();
   out << "{\n";
-  out << pad << "  \"count\": " << h.count() << ",\n";
+  out << pad << "  \"count\": " << snap.count << ",\n";
   out << pad << "  \"sum\": " << json_number(h.sum()) << ",\n";
-  out << pad << "  \"p50\": " << json_number(h.percentile(50)) << ",\n";
-  out << pad << "  \"p90\": " << json_number(h.percentile(90)) << ",\n";
-  out << pad << "  \"p99\": " << json_number(h.percentile(99)) << ",\n";
+  out << pad << "  \"p50\": " << json_number(h.percentile(snap, 50)) << ",\n";
+  out << pad << "  \"p90\": " << json_number(h.percentile(snap, 90)) << ",\n";
+  out << pad << "  \"p99\": " << json_number(h.percentile(snap, 99)) << ",\n";
   out << pad << "  \"buckets\": [";
   const auto& bounds = h.bounds();
   for (std::size_t i = 0; i <= bounds.size(); ++i) {
@@ -240,7 +256,7 @@ void write_histogram_json(std::ostream& out, const Histogram& h, const std::stri
     } else {
       out << json_number(bounds[i]);
     }
-    out << ", \"count\": " << h.bucket_count(i) << '}';
+    out << ", \"count\": " << snap.buckets[i] << '}';
   }
   out << "]\n" << pad << '}';
 }
@@ -316,18 +332,19 @@ void Registry::append_json_compact(std::string& out) const {
     if (!first) out += ", ";
     out += '"';
     append_json_escaped(out, name);
-    out += "\": {\"count\": " + std::to_string(h->count());
+    const Histogram::Snapshot snap = h->snapshot();
+    out += "\": {\"count\": " + std::to_string(snap.count);
     out += ", \"sum\": " + json_number(h->sum());
-    out += ", \"p50\": " + json_number(h->percentile(50));
-    out += ", \"p90\": " + json_number(h->percentile(90));
-    out += ", \"p99\": " + json_number(h->percentile(99));
+    out += ", \"p50\": " + json_number(h->percentile(snap, 50));
+    out += ", \"p90\": " + json_number(h->percentile(snap, 90));
+    out += ", \"p99\": " + json_number(h->percentile(snap, 99));
     out += ", \"buckets\": [";
     const auto& bounds = h->bounds();
     for (std::size_t i = 0; i <= bounds.size(); ++i) {
       if (i) out += ", ";
       out += "{\"le\": ";
       out += i == bounds.size() ? "\"+Inf\"" : json_number(bounds[i]);
-      out += ", \"count\": " + std::to_string(h->bucket_count(i)) + '}';
+      out += ", \"count\": " + std::to_string(snap.buckets[i]) + '}';
     }
     out += "]}";
     first = false;
@@ -377,16 +394,16 @@ void Registry::write_prometheus(std::ostream& out, const std::string& prefix) co
   for (const auto& [name, h] : histograms_) {
     const std::string metric = prefix + prometheus_name(name);
     out << "# TYPE " << metric << " histogram\n";
+    const Histogram::Snapshot snap = h->snapshot();
     const auto& bounds = h->bounds();
     std::uint64_t cumulative = 0;
     for (std::size_t i = 0; i < bounds.size(); ++i) {
-      cumulative += h->bucket_count(i);
+      cumulative += snap.buckets[i];
       out << metric << "_bucket{le=\"" << json_number(bounds[i]) << "\"} " << cumulative << '\n';
     }
-    cumulative += h->bucket_count(bounds.size());
-    out << metric << "_bucket{le=\"+Inf\"} " << cumulative << '\n';
+    out << metric << "_bucket{le=\"+Inf\"} " << snap.count << '\n';
     out << metric << "_sum " << json_number(h->sum()) << '\n';
-    out << metric << "_count " << h->count() << '\n';
+    out << metric << "_count " << snap.count << '\n';
   }
 }
 

@@ -30,6 +30,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -72,9 +73,18 @@ class Gauge {
 /// Fixed-bucket histogram: `bounds` are strictly increasing upper bounds
 /// (an observation lands in the first bucket whose bound >= value); one
 /// implicit overflow bucket catches everything above the last bound.
-/// Observations are assumed non-negative (sizes, durations, counts).
+/// Observations are assumed non-negative (sizes, durations, counts). The
+/// count is the sum of the buckets — there is no separate tally for a
+/// concurrent reader to see out of step with them.
 class Histogram {
  public:
+  /// One copy of the buckets: a render that derives its count and
+  /// percentiles from it agrees with itself even while threads observe.
+  struct Snapshot {
+    std::vector<std::uint64_t> buckets;  ///< bounds().size() + 1, overflow last
+    std::uint64_t count = 0;             ///< sum of `buckets`
+  };
+
   explicit Histogram(std::vector<double> bounds);
 
   Histogram(const Histogram&) = delete;
@@ -82,13 +92,12 @@ class Histogram {
 
   void observe(double value) noexcept;
 
-  [[nodiscard]] std::uint64_t count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t count() const noexcept;
   [[nodiscard]] double sum() const noexcept;
-  /// Estimated percentile (p in [0, 100]) by linear interpolation inside
-  /// the owning bucket; the overflow bucket clamps to the last bound.
-  [[nodiscard]] double percentile(double p) const noexcept;
+  [[nodiscard]] Snapshot snapshot() const;
+  /// Estimated percentile (p in [0, 100]); see bucket_percentile().
+  [[nodiscard]] double percentile(const Snapshot& snap, double p) const noexcept;
+  [[nodiscard]] double percentile(double p) const { return percentile(snapshot(), p); }
 
   [[nodiscard]] const std::vector<double>& bounds() const noexcept { return bounds_; }
   /// Count in bucket i (i == bounds().size() is the overflow bucket).
@@ -110,7 +119,6 @@ class Histogram {
  private:
   std::vector<double> bounds_;
   std::vector<std::atomic<std::uint64_t>> counts_;  ///< bounds_.size() + 1
-  std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> sum_bits_{0};  ///< double sum, CAS-folded
 };
 
@@ -182,6 +190,13 @@ class Registry {
 [[nodiscard]] inline Histogram& histogram(const std::string& name, std::vector<double> bounds) {
   return Registry::global().histogram(name, std::move(bounds));
 }
+
+/// Percentile (p in [0, 100]) of fixed-bucket counts by linear
+/// interpolation inside the owning bucket: `buckets` holds one count per
+/// upper bound in `bounds` plus an overflow bucket, which clamps to the
+/// last bound.
+[[nodiscard]] double bucket_percentile(std::span<const double> bounds,
+                                       std::span<const std::uint64_t> buckets, double p) noexcept;
 
 /// JSON string escaping shared by the observability writers.
 void append_json_escaped(std::string& out, std::string_view s);

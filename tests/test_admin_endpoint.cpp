@@ -49,7 +49,7 @@ std::vector<std::uint8_t> chaos_query(const std::string& qname, std::uint16_t id
 }
 
 TEST(RateWindows, DifferencesAgainstWindowBoundary) {
-  RateWindows rw;
+  util::RateWindows rw;
   EXPECT_EQ(rw.rate(1.0), 0.0);
   rw.add_sample(0.0, 0);
   EXPECT_EQ(rw.rate(1.0), 0.0);  // one sample: no span yet

@@ -183,6 +183,10 @@ struct ClassifyCase {
   NetworkType expected;
 };
 
+/// Names each case after its input: the default printer dumps the struct's
+/// bytes, pointers included, so test names would change with every build.
+void PrintTo(const ClassifyCase& c, std::ostream* os) { *os << '"' << c.suffix << '"'; }
+
 class Classify : public ::testing::TestWithParam<ClassifyCase> {};
 
 TEST_P(Classify, AssignsType) {

@@ -19,6 +19,11 @@ struct SanitizeCase {
   const char* expected;
 };
 
+/// Names each case after its expected label (always plain ASCII, unlike
+/// some inputs): the default printer dumps the struct's bytes, pointers
+/// included, so test names would change with every build.
+void PrintTo(const SanitizeCase& c, std::ostream* os) { *os << '"' << c.expected << '"'; }
+
 class Sanitize : public ::testing::TestWithParam<SanitizeCase> {};
 
 TEST_P(Sanitize, ProducesDnsLabel) {

@@ -83,6 +83,10 @@ struct RegDomainCase {
   const char* expected;
 };
 
+/// Names each case after its input: the default printer dumps the struct's
+/// bytes, pointers included, so test names would change with every build.
+void PrintTo(const RegDomainCase& c, std::ostream* os) { *os << '"' << c.input << '"'; }
+
 class RegisteredDomain : public ::testing::TestWithParam<RegDomainCase> {};
 
 TEST_P(RegisteredDomain, Extracts) {

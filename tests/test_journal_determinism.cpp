@@ -14,6 +14,7 @@
 #include "scan/rdns_snapshot.hpp"
 #include "scan/reactive.hpp"
 #include "sim/world.hpp"
+#include "test_paths.hpp"
 #include "util/journal.hpp"
 #include "util/thread_pool.hpp"
 
@@ -81,7 +82,7 @@ std::string journaled_run(unsigned threads, const std::string& path) {
 class JournalDeterminism : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    const std::string path = "test_journal_determinism.events.jsonl";
+    const std::string path = test::temp_path("test_journal_determinism.events.jsonl");
     baseline_ = new std::string{journaled_run(1, path)};
     std::remove(path.c_str());
   }
@@ -101,8 +102,8 @@ std::string* JournalDeterminism::baseline_ = nullptr;
 TEST_F(JournalDeterminism, ByteIdenticalAcrossPoolSizes) {
   ASSERT_FALSE(baseline().empty());
   for (const unsigned threads : {4u, 8u}) {
-    const std::string path = "test_journal_determinism_" + std::to_string(threads) +
-                             ".events.jsonl";
+    const std::string path = test::temp_path("test_journal_determinism_" +
+                                             std::to_string(threads) + ".events.jsonl");
     const std::string journal = journaled_run(threads, path);
     EXPECT_EQ(journal, baseline()) << threads << " threads";
     std::remove(path.c_str());

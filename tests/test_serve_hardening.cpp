@@ -1,20 +1,24 @@
 // Serve-path hardening: wire classification, minimal guard responses, RRL
 // with slip-to-TC, the shed ladder, and the hardened UdpServerLoop end to
-// end over loopback (guarded answers, REFUSED policy, drain accounting).
+// end over loopback (guarded answers, REFUSED policy, drain accounting,
+// the serve.* registry counters rendered from the per-worker stats).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
+#include "dns/admin.hpp"
 #include "dns/message.hpp"
 #include "dns/serve_guard.hpp"
 #include "dns/udp_server.hpp"
 #include "dns/wire.hpp"
 #include "net/ipv4.hpp"
 #include "net/udp.hpp"
+#include "util/metrics.hpp"
 
 namespace rdns::dns {
 namespace {
@@ -429,6 +433,79 @@ TEST(HardenedLoop, GuardOffBehavesAsBefore) {
   EXPECT_EQ(reply->flags.rcode, Rcode::NoError);
   loop.stop();
   EXPECT_EQ(loop.stats().responses_sent, 1u);
+}
+
+// -- serve.* registry counters ------------------------------------------
+
+/// The exported serve.<field> counters, in field-table order (zero for
+/// fields without a series).
+std::vector<std::uint64_t> serve_counter_values() {
+  std::vector<std::uint64_t> out;
+  for (const UdpServeStatsField& f : kUdpServeStatsFields) {
+    out.push_back(f.exported ? util::metrics::counter(std::string{"serve."} + f.name).value() : 0);
+  }
+  return out;
+}
+
+/// Answers, REFUSED, NOTIMP, garbage and RRL drops/slips through a
+/// two-worker guarded loop; returns the loop's folded stats.
+UdpServeStats serve_mixed_traffic(ServeIntrospection* plane) {
+  UdpServeOptions options;
+  options.threads = 2;
+  options.hardening.guard = true;
+  options.hardening.rrl_rate = 2.0;
+  options.hardening.rrl_slip = 2;
+  options.introspection = plane;
+  UdpServerLoop loop{options, [](unsigned) { return echo_handler(); }};
+  EXPECT_TRUE(loop.start());
+  LoopClient client{loop.endpoint()};
+  for (int i = 0; i < 40; ++i) {
+    const auto id = static_cast<std::uint16_t>(i);
+    std::vector<std::uint8_t> wire = ptr_query_wire(id);
+    if (i % 4 == 1) wire = query_wire(RrType::A, RrClass::IN, id);
+    if (i % 4 == 2) wire = {0xFF, 0x00, 0xAA};
+    if (i % 4 == 3) wire[2] = static_cast<std::uint8_t>((wire[2] & 0x87) | (5u << 3));
+    client.send(wire);
+    // Mid-run passes render partial folds; the final counts must still
+    // land exactly once.
+    if (plane != nullptr && i % 10 == 9) plane->aggregate_now();
+  }
+  while (client.recv(300).has_value()) {
+  }
+  loop.request_drain();
+  loop.stop();
+  return loop.stats();
+}
+
+void expect_counters_grew_by(const std::vector<std::uint64_t>& before,
+                             const UdpServeStats& stats) {
+  EXPECT_EQ(stats.datagrams_received, 40u);
+  EXPECT_GT(stats.rrl_dropped + stats.rrl_slipped, 0u);
+  const std::vector<std::uint64_t> after = serve_counter_values();
+  for (std::size_t i = 0; i < kUdpServeStatsFields.size(); ++i) {
+    const UdpServeStatsField& f = kUdpServeStatsFields[i];
+    if (f.exported) {
+      EXPECT_EQ(after[i] - before[i], stats.*f.member) << "serve." << f.name;
+    }
+  }
+}
+
+TEST(ServeCounters, RenderedOnceThroughArmedPlane) {
+  const std::vector<std::uint64_t> before = serve_counter_values();
+  UdpServeStats stats;
+  {
+    ServeIntrospection plane{2, ServeAdminConfig{}};
+    plane.start();
+    stats = serve_mixed_traffic(&plane);
+    plane.aggregate_now();
+    plane.stop();  // later passes fold the same totals: they add nothing
+  }
+  expect_counters_grew_by(before, stats);
+}
+
+TEST(ServeCounters, RenderedOnceByBareLoop) {
+  const std::vector<std::uint64_t> before = serve_counter_values();
+  expect_counters_grew_by(before, serve_mixed_traffic(nullptr));
 }
 
 }  // namespace

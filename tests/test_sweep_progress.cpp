@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -13,6 +15,8 @@
 #include "scan/progress.hpp"
 #include "scan/rdns_snapshot.hpp"
 #include "sim/world.hpp"
+#include "test_paths.hpp"
+#include "util/journal.hpp"
 #include "util/thread_pool.hpp"
 #include "util/time.hpp"
 
@@ -195,6 +199,37 @@ TEST(SweepProgressPlane, ConcurrentLeasesAggregateExactly) {
   EXPECT_EQ(snap.retries, total);
   EXPECT_DOUBLE_EQ(snap.percent, 100.0);
   EXPECT_LE(snap.probes, static_cast<std::size_t>(kThreads));
+}
+
+/// After end_pass the world simulates on, so an event stamped with the
+/// closed pass's instant would land behind newer ones: none may follow.
+TEST(SweepProgressPlane, JournalsNothingBetweenEndPassAndNextBeginPass) {
+  const std::string path = test::temp_path("sweep_progress_end_pass.events.jsonl");
+  auto& journal = util::journal::Journal::global();
+  ASSERT_TRUE(journal.open(path));
+  SweepProgressPlane::Options options;
+  options.journal_every = 1;
+  SweepProgressPlane plane{options};
+
+  plane.begin_pass(1, 0, "2021-11-07", 3600);
+  auto* probe = plane.acquire_probe();
+  probe->on_shard_finish(5, 5, 0, false, 0);
+  plane.release_probe(probe);
+  plane.aggregate_now();  // open pass: journals one event
+  plane.end_pass();
+  for (int i = 0; i < 4; ++i) plane.aggregate_now();
+  plane.begin_pass(1, 0, "2021-11-08", 90000);
+  plane.aggregate_now();  // reopened: journals again
+  journal.close();
+
+  std::ifstream in{path};
+  std::vector<std::string> days;
+  for (std::string line; std::getline(in, line);) {
+    if (line.find("\"type\":\"sweep.progress\"") == std::string::npos) continue;
+    days.push_back(line.substr(line.find("\"day\":\"") + 7, 10));
+  }
+  std::remove(path.c_str());
+  EXPECT_EQ(days, (std::vector<std::string>{"2021-11-07", "2021-11-08"}));
 }
 
 TEST(SweepProgressPlane, NullPlaneLeaseIsInert) {

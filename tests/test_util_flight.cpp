@@ -14,6 +14,8 @@
 #include <thread>
 #include <vector>
 
+#include "test_paths.hpp"
+
 namespace {
 
 using namespace rdns;
@@ -119,7 +121,9 @@ TEST(FlightRecorder, ConcurrentWritersDrainExactlyOnce) {
   // drain's merge sort; per-thread payloads arrive in their issue order.
   std::vector<std::uint64_t> next_b(kThreads, 0);
   for (std::size_t i = 0; i < events.size(); ++i) {
-    if (i > 0) EXPECT_LT(events[i - 1].seq, events[i].seq);
+    if (i > 0) {
+      EXPECT_LT(events[i - 1].seq, events[i].seq);
+    }
     ASSERT_LT(events[i].a, static_cast<std::uint64_t>(kThreads));
     EXPECT_EQ(events[i].b, next_b[events[i].a]++);
   }
@@ -179,7 +183,7 @@ TEST(FlightRecorder, JsonlDumpShape) {
 }
 
 TEST(FlightRecorder, DumpPathAppendsSegments) {
-  const std::string path = "flight_test_dump.jsonl";
+  const std::string path = test::temp_path("flight_test_dump.jsonl");
   {
     FlightRecorder recorder;
     recorder.arm(64);

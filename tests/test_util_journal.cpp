@@ -9,6 +9,7 @@
 #include <sstream>
 #include <string>
 
+#include "test_paths.hpp"
 #include "util/journal.hpp"
 
 namespace rdns::util::journal {
@@ -56,7 +57,7 @@ TEST(JournalBuffer, AccumulatesAndTakes) {
 }
 
 TEST(Journal, FileLifecycleWritesHeaderThenEvents) {
-  const std::string path = "test_util_journal_lifecycle.jsonl";
+  const std::string path = rdns::test::temp_path("test_util_journal_lifecycle.jsonl");
   RunManifest m;
   m.tool = "test";
   m.version = version_string();

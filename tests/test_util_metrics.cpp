@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "util/journal.hpp"
 #include "util/metrics.hpp"
 #include "util/trace.hpp"
 
@@ -189,6 +191,58 @@ TEST(Histogram, ConcurrentObservationsMatchSerialBucketCounts) {
   for (std::size_t i = 0; i <= bounds.size(); ++i) {
     EXPECT_EQ(concurrent.bucket_count(i), serial.bucket_count(i)) << "bucket " << i;
   }
+}
+
+/// True when a rendered histogram object's "count" equals the sum of its
+/// bucket counts.
+bool json_count_matches_buckets(const rdns::util::journal::JsonValue& h) {
+  const auto* buckets = h.find("buckets");
+  if (buckets == nullptr) return false;
+  std::int64_t sum = 0;
+  for (const auto& b : buckets->array) sum += b.get_int("count");
+  return sum == h.get_int("count");
+}
+
+/// Renders taken while other threads observe must agree with themselves:
+/// a JSON count equals its bucket sum, a Prometheus _count its +Inf bucket.
+TEST(Histogram, RendersAgreeWithThemselvesUnderConcurrentObserves) {
+  namespace journal = rdns::util::journal;
+  metrics::Registry registry;
+  metrics::Histogram& h = registry.histogram("race.h", metrics::Histogram::linear_bounds(1, 1, 8));
+  std::vector<std::jthread> writers;  // stopped and joined on every exit path
+  for (int t = 0; t < 4; ++t) {
+    writers.emplace_back([&h, t](const std::stop_token& stop) {
+      for (int i = t; !stop.stop_requested(); ++i) h.observe(i % 10);
+    });
+  }
+
+  int disagreeing = 0;
+  for (int render = 0; render < 1000; ++render) {
+    const auto pretty = journal::parse_json(registry.to_json());
+    ASSERT_TRUE(pretty.has_value());
+    if (!json_count_matches_buckets(*pretty->find("histograms")->find("race.h"))) ++disagreeing;
+
+    std::string compact = "{";
+    registry.append_json_compact(compact);
+    compact += "}";
+    const auto line = journal::parse_json(compact);
+    ASSERT_TRUE(line.has_value()) << compact;
+    if (!json_count_matches_buckets(*line->find("histograms")->find("race.h"))) ++disagreeing;
+
+    std::ostringstream prom;
+    registry.write_prometheus(prom);
+    std::istringstream rows{prom.str()};
+    std::string inf, count;
+    for (std::string row; std::getline(rows, row);) {
+      if (row.rfind("rdns_race_h_bucket{le=\"+Inf\"} ", 0) == 0) inf = row.substr(row.find(' ') + 1);
+      if (row.rfind("rdns_race_h_count ", 0) == 0) count = row.substr(row.find(' ') + 1);
+    }
+    ASSERT_FALSE(count.empty()) << prom.str();
+    if (inf != count) ++disagreeing;
+  }
+  writers.clear();
+  EXPECT_EQ(disagreeing, 0);
+  EXPECT_GT(h.count(), 0u);
 }
 
 TEST(Histogram, PercentilesOnKnownUniformDistribution) {

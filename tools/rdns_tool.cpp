@@ -1176,24 +1176,9 @@ int cmd_serve(const std::vector<std::string>& args) {
   const dns::UdpServeStats& totals = loop.stats();
   if (auto* j = util::journal::active()) {
     util::journal::Event e{"serve.stop", frozen_now};
-    e.unum("datagrams_received", totals.datagrams_received)
-        .unum("responses_sent", totals.responses_sent)
-        .unum("dropped_malformed", totals.dropped_malformed)
-        .unum("dropped_timeout_fault", totals.dropped_timeout_fault)
-        .unum("dropped_policy", totals.dropped_policy)
-        .unum("truncated_queries", totals.truncated_queries)
-        .unum("send_failures", totals.send_failures)
-        .unum("formerr_sent", totals.formerr_sent)
-        .unum("notimp_sent", totals.notimp_sent)
-        .unum("refused_sent", totals.refused_sent)
-        .unum("rrl_dropped", totals.rrl_dropped)
-        .unum("rrl_slipped", totals.rrl_slipped)
-        .unum("shed_errors", totals.shed_errors)
-        .unum("shed_answers", totals.shed_answers)
-        .unum("cache_hits", totals.cache_hits)
-        .unum("cache_misses", totals.cache_misses)
-        .unum("edns_queries", totals.edns_queries)
-        .unum("tc_responses", totals.tc_responses);
+    for (const dns::UdpServeStatsField& f : dns::kUdpServeStatsFields) {
+      if (f.exported) e.unum(f.name, totals.*f.member);
+    }
     j->emit(e);
   }
   std::printf(
