@@ -14,6 +14,8 @@
 #include "util/journal.hpp"
 #include "util/log.hpp"
 #include "util/metrics.hpp"
+#include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace rdns::dns {
 
@@ -30,13 +32,15 @@ constexpr auto kLatencyBoundsUs = [] {
   return bounds;
 }();
 
-/// splitmix64 finalizer: spreads the (often sequential) transaction ids so
-/// "1 in N by txid hash" selects an unbiased but reproducible subset.
-[[nodiscard]] std::uint64_t mix_txid(std::uint64_t txid) noexcept {
-  std::uint64_t x = txid + 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
+/// The lowercased dotted name of a clean question ("stats.rdns"; "." for
+/// the root): the CHAOS interface's and the qname sketch's key.
+[[nodiscard]] std::string lowercase_qname(const QueryView& query) {
+  std::string name;
+  for (std::size_t i = 0; i < query.label_count; ++i) {
+    if (i > 0) name.push_back('.');
+    name += util::to_lower(query.label(i));
+  }
+  return name.empty() ? "." : name;
 }
 
 [[nodiscard]] std::string format_double(double v, int decimals = 1) {
@@ -71,17 +75,20 @@ bool ServeIntrospection::WorkerProbe::should_sample(
   const unsigned n = owner_->config_.sample_every;
   if (n == 0 || query.size() < 2) return false;
   if (n == 1) return true;
+  // splitmix64 spreads the (often sequential) transaction ids, so "1 in N
+  // by txid hash" selects an unbiased but reproducible subset.
   const std::uint64_t txid = (std::uint64_t{query[0]} << 8) | query[1];
-  return mix_txid(txid) % n == 0;
+  return util::mix64(txid) % n == 0;
 }
 
 void ServeIntrospection::WorkerProbe::note_client(std::uint32_t address) {
   client_buf_.push_back(address);
 }
 
-void ServeIntrospection::WorkerProbe::on_sampled(
-    std::span<const std::uint8_t> query, const std::optional<std::vector<std::uint8_t>>& response,
-    double latency_us, const net::UdpEndpoint& client) {
+void ServeIntrospection::WorkerProbe::on_sampled(const QueryView& query,
+                                                 std::span<const std::uint8_t> reply,
+                                                 double latency_us,
+                                                 const net::UdpEndpoint& client) {
   ++sampled_;
   // First bound >= the latency; past the last bound is the overflow bucket.
   const auto bound =
@@ -90,19 +97,18 @@ void ServeIntrospection::WorkerProbe::on_sampled(
   ++latency_.count;
   latency_.sum_us += latency_us;
 
-  std::uint16_t qtype = 0;
-  std::uint16_t qclass = 0;
+  const bool parsed = query.question == QueryView::Question::Clean;
   std::string qname;
-  const bool parsed = peek_question(query, &qtype, &qclass, &qname);
-  if (parsed) qname_buf_.push_back(qname);
+  if (parsed) {
+    qname = lowercase_qname(query);
+    qname_buf_.push_back(qname);
+  }
 
   if (latency_us >= owner_->config_.slowlog_threshold_us) {
     ++slowlog_;
     if (util::journal::Journal* j = util::journal::active()) {
-      const char* rcode = "drop";  // handler returned nullopt: injected timeout
-      if (response.has_value() && response->size() >= 4) {
-        rcode = to_string(static_cast<Rcode>((*response)[3] & 0x0F));
-      }
+      const char* rcode = "drop";  // no reply: an injected timeout
+      if (reply.size() >= 4) rcode = to_string(static_cast<Rcode>(reply[3] & 0x0F));
       util::journal::Event event{"serve.slowlog", owner_->config_.sim_time};
       event.str("qname", parsed ? qname : "<malformed>")
           .str("client", client.to_string())
@@ -271,37 +277,38 @@ std::optional<std::vector<std::string>> ServeIntrospection::chaos_txt_strings(
 }
 
 UdpServerLoop::WireHandler ServeIntrospection::wrap_chaos(UdpServerLoop::WireHandler inner) {
-  return [this, inner = std::move(inner)](std::span<const std::uint8_t> query)
-             -> std::optional<std::vector<std::uint8_t>> {
-    // Fast path: classify without materializing the qname (the label walk
-    // is allocation-free); only a CH TXT query pays for the string.
-    std::uint16_t qtype = 0;
-    std::uint16_t qclass = 0;
-    if (!peek_question(query, &qtype, &qclass, nullptr) ||
-        qclass != static_cast<std::uint16_t>(RrClass::CH) ||
-        qtype != static_cast<std::uint16_t>(RrType::TXT)) {
-      return inner(query);
-    }
-    std::string qname;
-    if (!peek_question(query, &qtype, &qclass, &qname)) return inner(query);
-    metrics::counter("serve.chaos_queries").inc();
-    Message parsed;
-    try {
-      parsed = decode(query);
-    } catch (const WireError&) {
-      return inner(query);
-    }
-    if (parsed.questions.size() != 1) return inner(query);
-    const auto strings = chaos_txt_strings(qname);
-    Message response =
-        make_response(parsed, strings.has_value() ? Rcode::NoError : Rcode::NxDomain);
-    if (strings.has_value()) {
-      ResourceRecord rr = make_txt(parsed.questions.front().qname, *strings, /*ttl=*/0);
-      rr.klass = RrClass::CH;
-      response.answers.push_back(std::move(rr));
-    }
-    return encode(response);
-  };
+  return ChaosHandler{this, std::move(inner)};
+}
+
+std::optional<std::vector<std::uint8_t>> ServeIntrospection::ChaosHandler::operator()(
+    std::span<const std::uint8_t> query) const {
+  return (*this)(scan_query(query));
+}
+
+std::optional<std::vector<std::uint8_t>> ServeIntrospection::ChaosHandler::operator()(
+    const QueryView& query) const {
+  if (query.question != QueryView::Question::Clean ||
+      query.qclass != static_cast<std::uint16_t>(RrClass::CH) ||
+      query.qtype != static_cast<std::uint16_t>(RrType::TXT)) {
+    return inner(query.wire);
+  }
+  metrics::counter("serve.chaos_queries").inc();
+  Message parsed;
+  try {
+    parsed = decode(query.wire);
+  } catch (const WireError&) {
+    return inner(query.wire);
+  }
+  if (parsed.questions.size() != 1) return inner(query.wire);
+  const auto strings = plane->chaos_txt_strings(lowercase_qname(query));
+  Message response =
+      make_response(parsed, strings.has_value() ? Rcode::NoError : Rcode::NxDomain);
+  if (strings.has_value()) {
+    ResourceRecord rr = make_txt(parsed.questions.front().qname, *strings, /*ttl=*/0);
+    rr.klass = RrClass::CH;
+    response.answers.push_back(std::move(rr));
+  }
+  return encode(response);
 }
 
 std::string ServeIntrospection::render_prometheus() {
@@ -404,50 +411,6 @@ void ServeIntrospection::install_http_routes(net::AdminHttpServer& http) {
   http.route("/stats.json", [this](const std::string&) {
     return net::HttpResponse{200, "application/json", render_stats_json()};
   });
-}
-
-// -- question peek ------------------------------------------------------------
-
-bool peek_question(std::span<const std::uint8_t> payload, std::uint16_t* qtype,
-                   std::uint16_t* qclass, std::string* qname_out) {
-  if (payload.size() < 12) return false;
-  const std::uint16_t qdcount =
-      static_cast<std::uint16_t>((payload[4] << 8) | payload[5]);
-  if (qdcount == 0) return false;
-  std::size_t pos = 12;
-  std::size_t name_len = 0;
-  std::string name;
-  for (;;) {
-    if (pos >= payload.size()) return false;
-    const std::uint8_t len = payload[pos];
-    if (len == 0) {
-      ++pos;
-      break;
-    }
-    if (len > 63) return false;  // compression pointer or reserved label type
-    if (pos + 1 + len > payload.size()) return false;
-    name_len += (name_len > 0 ? 1 : 0) + len;
-    if (name_len > 255) return false;
-    if (qname_out != nullptr) {
-      // Only materialize (and lowercase) the name when the caller wants it;
-      // the per-query classification path passes nullptr and stays
-      // allocation-free.
-      if (!name.empty()) name.push_back('.');
-      for (std::size_t i = 0; i < len; ++i) {
-        char c = static_cast<char>(payload[pos + 1 + i]);
-        if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
-        name.push_back(c);
-      }
-    }
-    pos += 1 + static_cast<std::size_t>(len);
-  }
-  if (pos + 4 > payload.size()) return false;
-  if (qtype != nullptr) *qtype = static_cast<std::uint16_t>((payload[pos] << 8) | payload[pos + 1]);
-  if (qclass != nullptr) {
-    *qclass = static_cast<std::uint16_t>((payload[pos + 2] << 8) | payload[pos + 3]);
-  }
-  if (qname_out != nullptr) *qname_out = name.empty() ? "." : std::move(name);
-  return true;
 }
 
 }  // namespace rdns::dns

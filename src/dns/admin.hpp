@@ -50,6 +50,8 @@ class AdminHttpServer;
 
 namespace rdns::dns {
 
+struct QueryView;  // dns/wire.hpp
+
 struct ServeAdminConfig {
   /// Sampled tracing: clock 1 query in `sample_every` (deterministic by
   /// txid hash). 0 disables sampling (and with it slowlog + qname top-K).
@@ -103,9 +105,9 @@ class ServeIntrospection {
     void note_client(std::uint32_t address);
 
     /// Record a sampled query: latency histogram, qname sketch, slowlog.
-    void on_sampled(std::span<const std::uint8_t> query,
-                    const std::optional<std::vector<std::uint8_t>>& response, double latency_us,
-                    const net::UdpEndpoint& client);
+    /// `reply` is the datagram sent back, empty when none was.
+    void on_sampled(const QueryView& query, std::span<const std::uint8_t> reply,
+                    double latency_us, const net::UdpEndpoint& client);
 
     /// Seqlock-publish the worker's stats + latency view and flush the
     /// sketch buffers. Called once per socket drain.
@@ -156,6 +158,18 @@ class ServeIntrospection {
   /// Copy of the latest aggregate.
   [[nodiscard]] Aggregate aggregate() const;
 
+  /// The handler wrap_chaos returns. A serve loop that finds one in its
+  /// WireHandler (std::function::target) calls it with the QueryView it
+  /// already holds, so the datagram is not scanned again.
+  struct ChaosHandler {
+    ServeIntrospection* plane;
+    UdpServerLoop::WireHandler inner;
+
+    std::optional<std::vector<std::uint8_t>> operator()(const QueryView& query) const;
+    std::optional<std::vector<std::uint8_t>> operator()(
+        std::span<const std::uint8_t> query) const;
+  };
+
   /// Wrap a serving handler with the CHAOS-class TXT stats interface:
   /// queries with QCLASS=CH and QTYPE=TXT for stats.rdns / version.rdns /
   /// top.clients.rdns / top.qnames.rdns / loglevel.rdns (plus the
@@ -191,12 +205,5 @@ class ServeIntrospection {
 
   util::PeriodicAggregator aggregator_{[this] { aggregate_pass(); }};
 };
-
-/// Fast, allocation-light peek at the first question of a query datagram:
-/// walks the qname labels (rejecting compression) and reads QTYPE/QCLASS.
-/// Returns false on anything malformed. `qname_out` (optional) receives the
-/// lowercased dotted name without trailing dot ("stats.rdns").
-[[nodiscard]] bool peek_question(std::span<const std::uint8_t> payload, std::uint16_t* qtype,
-                                 std::uint16_t* qclass, std::string* qname_out);
 
 }  // namespace rdns::dns

@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
+#include <string_view>
 #include <utility>
 
 #include "dns/server.hpp"
 #include "dns/wire.hpp"
 #include "dns/zone.hpp"
 #include "util/metrics.hpp"
+#include "util/strings.hpp"
 
 namespace rdns::dns {
 
@@ -44,25 +46,17 @@ std::uint16_t get_u16(const std::uint8_t* p) noexcept {
 /// value <= 255). Non-canonical spellings miss the cache on purpose: the
 /// handler resolves them through the same zone lookup, so behavior is
 /// identical, just slower — and real PTR floods use canonical names.
-bool parse_octet(const std::uint8_t* p, std::size_t len, std::uint32_t& out) noexcept {
-  if (len == 0 || len > 3) return false;
+bool parse_octet(std::string_view label, std::uint32_t& out) noexcept {
+  if (label.empty() || label.size() > 3) return false;
   std::uint32_t v = 0;
-  for (std::size_t i = 0; i < len; ++i) {
-    if (p[i] < '0' || p[i] > '9') return false;
-    v = v * 10 + static_cast<std::uint32_t>(p[i] - '0');
+  for (const char c : label) {
+    if (c < '0' || c > '9') return false;
+    v = v * 10 + static_cast<std::uint32_t>(c - '0');
   }
-  if (len > 1 && p[0] == '0') return false;
+  if (label.size() > 1 && label[0] == '0') return false;
   if (v > 255) return false;
   out = v;
   return true;
-}
-
-bool label_eq_ci(const std::uint8_t* p, std::size_t len, const char* lit) noexcept {
-  for (std::size_t i = 0; i < len; ++i) {
-    const char c = static_cast<char>(p[i] | 0x20);  // ASCII lowercase
-    if (c != lit[i]) return false;
-  }
-  return lit[len] == '\0';
 }
 
 }  // namespace
@@ -157,99 +151,32 @@ std::shared_ptr<const AnswerCache> AnswerCache::build(const std::vector<Source>&
   return cache;
 }
 
-std::size_t AnswerCache::scan_question_end(std::span<const std::uint8_t> msg) noexcept {
-  if (msg.size() < 12) return 0;
-  const std::uint16_t qd = get_u16(msg.data() + 4);
-  if (qd == 0) return 12;
-  if (qd != 1) return 0;
-  std::size_t pos = 12;
-  while (true) {
-    if (pos >= msg.size()) return 0;
-    const std::uint8_t len = msg[pos];
-    if (len == 0) {
-      ++pos;
-      break;
-    }
-    if ((len & 0xC0) != 0) return 0;  // compressed/reserved: cannot scan
-    pos += 1 + len;
-    if (pos - 12 > 255) return 0;
-  }
-  if (pos + 4 > msg.size()) return 0;
-  return pos + 4;
+AnswerCache::Probe AnswerCache::probe(std::span<const std::uint8_t> query) const noexcept {
+  return probe(scan_query(query));
 }
 
-AnswerCache::Probe AnswerCache::probe(std::span<const std::uint8_t> query) const noexcept {
+AnswerCache::Probe AnswerCache::probe(const QueryView& query) const noexcept {
   Probe p;
-  if (query.size() < 12) return p;
-  const std::uint8_t* d = query.data();
-  // QR=0, opcode=0; AA/TC/RD bits are tolerated (the codec clears them).
-  if ((d[2] & 0xF8) != 0) return p;
-  const std::uint16_t qd = get_u16(d + 4);
-  const std::uint16_t an = get_u16(d + 6);
-  const std::uint16_t ns = get_u16(d + 8);
-  const std::uint16_t ar = get_u16(d + 10);
-  if (qd != 1) return p;
-
-  // Scan the (uncompressed) qname, keeping the up-to-6 labels a PTR arpa
-  // name has. More labels: keep scanning for question_end, drop the cache.
-  struct LabelView {
-    const std::uint8_t* ptr;
-    std::size_t len;
-  };
-  LabelView labels[6];
-  std::size_t label_count = 0;
-  bool too_many = false;
-  std::size_t pos = 12;
-  while (true) {
-    if (pos >= query.size()) return p;
-    const std::uint8_t len = d[pos];
-    if (len == 0) {
-      ++pos;
-      break;
-    }
-    if ((len & 0xC0) != 0) return p;
-    if (pos + 1 + len > query.size()) return p;
-    if (label_count < 6) {
-      labels[label_count] = LabelView{d + pos + 1, len};
-    } else {
-      too_many = true;
-    }
-    ++label_count;
-    pos += 1 + len;
-    if (pos - 12 > 255) return p;
-  }
-  if (pos + 4 > query.size()) return p;
-  const std::uint16_t qtype = get_u16(d + pos);
-  const std::uint16_t qclass = get_u16(d + pos + 2);
-  p.question_end = pos + 4;
-  if (qclass == 3) {  // CHAOS: introspection plane; exempt from EDNS/TC
-    p.chaos = true;
+  // One clean question in a standard query; AA/TC/RD bits are tolerated
+  // (the codec clears them).
+  if (!query.standard_query() || query.qdcount != 1 ||
+      query.question != QueryView::Question::Clean) {
     return p;
   }
+  p.question_end = query.question_end;
+  p.edns = query.edns;
 
-  // A single well-formed OPT RR directly after the question (queries carry
-  // no answer/authority RRs). Anything else — including trailing bytes —
-  // misses so the handler's full decoder stays authoritative.
-  if (an != 0 || ns != 0 || ar > 1) return p;
-  if (ar == 1) {
-    const std::size_t o = p.question_end;
-    if (o + 11 > query.size()) return p;
-    if (d[o] != 0x00 || get_u16(d + o + 1) != 41) return p;
-    const std::uint16_t rdlen = get_u16(d + o + 9);
-    if (o + 11 + rdlen != query.size()) return p;  // RDLEN must cover the rest exactly
-    p.edns = true;
-    p.edns_udp_size = get_u16(d + o + 3);
-  }
-
-  if (too_many || label_count != 6) return p;
-  if (qtype != 12 || qclass != 1) return p;  // PTR IN only
-  if (!label_eq_ci(labels[4].ptr, labels[4].len, "in-addr") ||
-      !label_eq_ci(labels[5].ptr, labels[5].len, "arpa")) {
+  // Records past the question other than the one OPT miss, so the
+  // handler's full decoder stays authoritative.
+  if (!query.bare()) return p;
+  if (query.qtype != static_cast<std::uint16_t>(RrType::PTR) ||
+      query.qclass != static_cast<std::uint16_t>(RrClass::IN) || query.label_count != 6 ||
+      !util::iequals(query.label(4), "in-addr") || !util::iequals(query.label(5), "arpa")) {
     return p;
   }
   std::uint32_t octets[4];
-  for (int i = 0; i < 4; ++i) {
-    if (!parse_octet(labels[i].ptr, labels[i].len, octets[i])) return p;
+  for (std::size_t i = 0; i < 4; ++i) {
+    if (!parse_octet(query.label(i), octets[i])) return p;
   }
   // d.c.b.a.in-addr.arpa <-> a.b.c.d
   const std::uint32_t addr =

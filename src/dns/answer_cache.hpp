@@ -20,6 +20,11 @@
 /// codec path produces. Parity is asserted record-by-record in
 /// tests/test_answer_cache.cpp against encode(handle_readonly(query)).
 ///
+/// The probe reads the datagram's scan (QueryView, dns/wire.hpp), whose
+/// label rules are the decoder's, so it hits only queries decode() accepts.
+/// The serve loop runs the same EDNS/TC post-step on a cache hit and on a
+/// handler reply, so arming the cache changes speed, never a reply's bytes.
+///
 /// Invalidation is a whole-cache epoch bump: the serve loop re-fetches the
 /// cache through its provider whenever the switchboard epoch moves, and the
 /// old image is dropped when the last worker releases its shared_ptr.
@@ -46,6 +51,7 @@
 namespace rdns::dns {
 
 class AuthoritativeServer;
+struct QueryView;  // dns/wire.hpp
 
 class AnswerCache {
  public:
@@ -59,16 +65,12 @@ class AnswerCache {
     net::Ipv4Addr last;
   };
 
-  /// Result of probing a raw datagram against the cache. `question_end` is
-  /// filled (one past the question section) whenever the question scanned
-  /// cleanly, even on a miss — the serve loop reuses it for TC truncation.
+  /// Result of probing a scanned datagram against the cache.
   struct Probe {
     bool hit = false;        ///< tail/rcode/counts below are valid
     bool cacheable = false;  ///< canonical IN PTR query for a 4-octet arpa name
-    bool chaos = false;      ///< CHAOS-class query (introspection; EDNS/TC exempt)
-    bool edns = false;       ///< carried a single well-formed OPT RR
-    std::uint16_t edns_udp_size = 0;  ///< client's advertised payload size
-    std::size_t question_end = 0;     ///< 0 when the question could not be scanned
+    bool edns = false;       ///< the query's QueryView::edns, for callers holding only the probe
+    std::size_t question_end = 0;  ///< one past the question; 0 when it did not scan clean
     Rcode rcode = Rcode::NoError;
     std::uint16_t ancount = 0;
     std::uint16_t nscount = 0;
@@ -81,7 +83,9 @@ class AnswerCache {
   [[nodiscard]] static std::shared_ptr<const AnswerCache> build(
       const std::vector<Source>& sources);
 
-  /// Allocation-free parse + lookup of a raw query datagram.
+  /// Allocation-free lookup of a scanned query (dns/wire.hpp); the span
+  /// form scans first.
+  [[nodiscard]] Probe probe(const QueryView& query) const noexcept;
   [[nodiscard]] Probe probe(std::span<const std::uint8_t> query) const noexcept;
 
   /// Bytes assemble() writes for a hit.
@@ -116,11 +120,6 @@ class AnswerCache {
   /// non-zero an OPT advertising it is re-appended. Returns the new length.
   static std::size_t truncate_to_tc(std::uint8_t* reply, std::size_t question_end,
                                     std::uint16_t opt_udp_size) noexcept;
-
-  /// Scan an uncompressed single-question message for the offset one past
-  /// the question section (QDCOUNT 0 → 12). 0 when it cannot be scanned.
-  [[nodiscard]] static std::size_t scan_question_end(
-      std::span<const std::uint8_t> msg) noexcept;
 
  private:
   /// One /16 of pre-encoded answers. `offsets` holds 65537 prefix sums

@@ -1,8 +1,5 @@
 #include "dns/serve_guard.hpp"
 
-#include <string_view>
-
-#include "dns/name.hpp"
 #include "dns/wire.hpp"
 
 namespace rdns::dns {
@@ -54,9 +51,9 @@ constexpr std::size_t kHeaderBytes = 12;
     for (std::uint32_t i = 0; i < static_cast<std::uint32_t>(an) + ns + ar; ++i) (void)r.rr();
     return {policy_verdict(static_cast<std::uint16_t>(q.qtype),
                            static_cast<std::uint16_t>(q.qclass), restrict_ptr),
-            question_end, q.qclass == RrClass::CH && q.qtype == RrType::TXT};
+            question_end};
   } catch (const WireError&) {
-    return {WireVerdict::FormErr, 0, false};
+    return {WireVerdict::FormErr, 0};
   }
 }
 
@@ -74,71 +71,40 @@ const char* to_string(WireVerdict v) noexcept {
 }
 
 Classified classify_query(std::span<const std::uint8_t> payload, bool restrict_ptr) {
-  // Shorter than a header: not even classifiable, drop silently.
-  if (payload.size() < kHeaderBytes) return {WireVerdict::SilentDrop, 0};
+  return classify_query(scan_query(payload), restrict_ptr);
+}
 
-  const std::uint16_t flags = read_u16(payload, 2);
+Classified classify_query(const QueryView& query, bool restrict_ptr) {
+  // Shorter than a header: not even classifiable, drop silently.
+  if (!query.header) return {WireVerdict::SilentDrop, 0};
+
   // A response (QR=1) aimed at a server port is reflection noise, never a
   // query — answering it would complete an amplification loop.
-  if ((flags & 0x8000) != 0) return {WireVerdict::SilentDrop, 0};
-  const auto opcode = static_cast<std::uint8_t>((flags >> 11) & 0xF);
+  if ((query.flags & 0x8000) != 0) return {WireVerdict::SilentDrop, 0};
+  const auto opcode = static_cast<std::uint8_t>((query.flags >> 11) & 0xF);
   if (opcode != static_cast<std::uint8_t>(Opcode::Query)) return {WireVerdict::NotImp, 0};
+  if (query.qdcount != 1) return {WireVerdict::FormErr, 0};
 
-  const std::uint16_t qd = read_u16(payload, 4);
-  const std::uint16_t an = read_u16(payload, 6);
-  const std::uint16_t ns = read_u16(payload, 8);
-  const std::uint16_t ar = read_u16(payload, 10);
-  if (qd != 1) return {WireVerdict::FormErr, 0};
-
-  // Strict allocation-free scan of the single question, mirroring the
-  // decoder's rules exactly (label length, LDH bytes, 255-octet bound).
-  std::size_t pos = kHeaderBytes;
-  std::size_t name_octets = 1;  // root label
-  for (;;) {
-    if (pos >= payload.size()) return {WireVerdict::FormErr, 0};
-    const std::uint8_t len = payload[pos];
-    if ((len & 0xC0) == 0xC0) {
-      // Compression in a qname: legal but rare; take the exact slow path.
-      return classify_slow(payload, restrict_ptr, /*compressed_qname=*/true);
-    }
-    if ((len & 0xC0) != 0) return {WireVerdict::FormErr, 0};  // reserved label type
-    ++pos;
-    if (len == 0) break;
-    if (pos + len > payload.size()) return {WireVerdict::FormErr, 0};
-    const std::string_view label{reinterpret_cast<const char*>(payload.data() + pos), len};
-    if (!is_valid_label(label)) return {WireVerdict::FormErr, 0};
-    name_octets += static_cast<std::size_t>(len) + 1;
-    if (name_octets > 255) return {WireVerdict::FormErr, 0};
-    pos += len;
+  if (query.question == QueryView::Question::Compressed) {
+    // Compression in a qname: legal but rare; take the exact slow path.
+    return classify_slow(query.wire, restrict_ptr, /*compressed_qname=*/true);
   }
-  if (pos + 4 > payload.size()) return {WireVerdict::FormErr, 0};
-  const std::uint16_t qtype = read_u16(payload, pos);
-  const std::uint16_t qclass = read_u16(payload, pos + 2);
-  const std::size_t question_end = pos + 4;
+  if (query.question != QueryView::Question::Clean) return {WireVerdict::FormErr, 0};
 
   // Extra sections in a query are suspicious but decodable shapes exist;
   // verify them with the real decoder so the verdict matches what the
-  // handler would see. One exception stays on the fast path: a single
-  // well-formed EDNS0 OPT RR in the additional section (RFC 6891 — root
-  // owner, type 41, RDLEN covering the remaining bytes exactly), the shape
-  // every EDNS-speaking client sends. Anything else — OPT with trailing
-  // junk, a lying RDLEN, answer/authority RRs — takes the slow path.
-  if (an != 0 || ns != 0 || ar != 0) {
-    if (an == 0 && ns == 0 && ar == 1 && question_end + 11 <= payload.size() &&
-        payload[question_end] == 0x00 && read_u16(payload, question_end + 1) == 41 &&
-        question_end + 11 + read_u16(payload, question_end + 9) == payload.size()) {
-      return {policy_verdict(qtype, qclass, restrict_ptr), question_end,
-              qclass == static_cast<std::uint16_t>(RrClass::CH) &&
-                  qtype == static_cast<std::uint16_t>(RrType::TXT)};
+  // handler would see. The one OPT shape every EDNS-speaking client sends
+  // stays on the fast path (QueryView::bare); anything else — OPT with
+  // trailing junk, a lying RDLEN, answer/authority RRs — takes the slow
+  // path.
+  if (!query.bare()) {
+    Classified c = classify_slow(query.wire, restrict_ptr, /*compressed_qname=*/false);
+    if (c.verdict == WireVerdict::FormErr && c.question_end == 0) {
+      c.question_end = query.question_end;
     }
-    Classified c = classify_slow(payload, restrict_ptr, /*compressed_qname=*/false);
-    if (c.verdict == WireVerdict::FormErr && c.question_end == 0) c.question_end = question_end;
     return c;
   }
-
-  return {policy_verdict(qtype, qclass, restrict_ptr), question_end,
-          qclass == static_cast<std::uint16_t>(RrClass::CH) &&
-              qtype == static_cast<std::uint16_t>(RrType::TXT)};
+  return {policy_verdict(query.qtype, query.qclass, restrict_ptr), query.question_end};
 }
 
 std::vector<std::uint8_t> make_guard_response(std::span<const std::uint8_t> query,

@@ -6,8 +6,8 @@
 ///
 /// Three layers, cheapest first:
 ///
-///   1. **Wire defense** — an allocation-free strict walk over the query
-///      bytes classifies every datagram before it can reach the codec:
+///   1. **Wire defense** — the datagram's allocation-free scan (QueryView)
+///      classifies every datagram before it can reach the codec:
 ///      undecodable garbage is dropped silently (`serve.dropped_malformed`),
 ///      a decodable header with a broken body earns FORMERR, an unsupported
 ///      opcode NOTIMP, and an out-of-policy question (non-IN class or, under
@@ -45,6 +45,8 @@
 #include "util/token_bucket.hpp"
 
 namespace rdns::dns {
+
+struct QueryView;  // dns/wire.hpp
 
 /// Tuning knobs for the serve-path defense; defaults keep everything off so
 /// bare UdpServerLoop users (unit tests, benches) see no behavior change.
@@ -93,15 +95,14 @@ enum class WireVerdict : std::uint8_t {
 struct Classified {
   WireVerdict verdict = WireVerdict::SilentDrop;
   std::size_t question_end = 0;  ///< 0 = question did not scan
-  /// CH TXT introspection query: exempt from RRL and shedding so the
-  /// chaos plane stays reachable under flood.
-  bool chaos = false;
 };
 
-/// Classify one query datagram. Pure function over the bytes: never
-/// throws, never allocates on the fast path (QD=1 and no extra sections);
-/// queries with extra sections are verified through the full decoder.
-/// `restrict_ptr` applies the PTR-only policy described above.
+/// Classify one query datagram from its scan (dns/wire.hpp). Pure: never
+/// throws, never allocates on the fast path (QD=1 and no extra sections
+/// but the one OPT); queries with other extra sections or a compressed
+/// qname are verified through the full decoder. `restrict_ptr` applies the
+/// PTR-only policy described above.
+[[nodiscard]] Classified classify_query(const QueryView& query, bool restrict_ptr);
 [[nodiscard]] Classified classify_query(std::span<const std::uint8_t> payload,
                                         bool restrict_ptr);
 

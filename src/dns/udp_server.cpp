@@ -17,6 +17,7 @@
 
 #include "dns/admin.hpp"
 #include "dns/answer_cache.hpp"
+#include "dns/wire.hpp"
 #include "util/flight.hpp"
 #include "util/log.hpp"
 #include "util/metrics.hpp"
@@ -192,19 +193,12 @@ void UdpServerLoop::run_worker(Worker& worker, unsigned index) {
   unsigned last_shed_level = 0;
   std::uint64_t last_table_flushes = 0;
   std::vector<net::UdpDatagram> inbound;
-  std::vector<net::UdpDatagram> outbound;
   inbound.reserve(options_.batch);
-  outbound.reserve(options_.batch);
 
-  // Answer-cache fast path: with a cache armed, every reply of a batch is
-  // assembled into one reused slab and flushed through a single
-  // sendmmsg over borrowed iovecs — no per-reply vector, no allocation
-  // after warm-up. Replies are addressed by (offset, len) so slab growth
-  // never invalidates them. When no cache is configured the legacy
-  // vector path below runs unchanged.
-  const bool cache_armed = static_cast<bool>(options_.answer_cache);
-  std::shared_ptr<const AnswerCache> cache;
-  std::uint64_t cache_epoch_seen = 0;
+  // Every reply of a batch is assembled into one reused slab and flushed
+  // through a single sendmmsg over borrowed iovecs: no per-reply owning
+  // vector in the loop. Replies are addressed by (offset, len) so slab
+  // growth never invalidates them.
   struct SlabReply {
     std::size_t offset;
     std::size_t len;
@@ -213,50 +207,50 @@ void UdpServerLoop::run_worker(Worker& worker, unsigned index) {
   std::vector<std::uint8_t> slab;
   std::vector<SlabReply> slab_replies;
   std::vector<net::UdpSendView> views;
-  if (cache_armed) {
-    cache = options_.answer_cache();
-    if (options_.answer_cache_epoch != nullptr) {
-      cache_epoch_seen = options_.answer_cache_epoch->load(std::memory_order_acquire);
-    }
-    slab.reserve(options_.batch * (options_.payload_cap + 16));
-    slab_replies.reserve(options_.batch);
-    views.reserve(options_.batch);
-  }
-  // Route a fully built reply to the right outbound plumbing.
-  auto emit = [&](std::vector<std::uint8_t>&& payload, const net::UdpEndpoint& peer) {
-    if (cache_armed) {
-      const std::size_t off = slab.size();
-      slab.insert(slab.end(), payload.begin(), payload.end());
-      slab_replies.push_back(SlabReply{off, payload.size(), peer});
-    } else {
-      net::UdpDatagram reply;
-      reply.payload = std::move(payload);
-      reply.peer = peer;
-      outbound.push_back(std::move(reply));
-    }
+  slab.reserve(options_.batch * (options_.payload_cap + 16));
+  slab_replies.reserve(options_.batch);
+  views.reserve(options_.batch);
+  auto queue_reply = [&](std::span<const std::uint8_t> bytes, const net::UdpEndpoint& peer) {
+    slab_replies.push_back(SlabReply{slab.size(), bytes.size(), peer});
+    slab.insert(slab.end(), bytes.begin(), bytes.end());
   };
   // EDNS0/TC post-step for answers in the slab at [off, off+len): append
   // our OPT for EDNS clients, then truncate to TC=1 when the reply exceeds
   // the client's advertised size (non-EDNS: the classic 512). The caller
   // guarantees 11 spare slab bytes past `len`. Returns the final length.
-  auto postprocess = [&](std::size_t off, std::size_t len, const AnswerCache::Probe& pr) {
+  auto postprocess = [&](std::size_t off, std::size_t len, const QueryView& query, bool edns) {
     std::uint8_t* reply = slab.data() + off;
     const std::size_t limit =
-        pr.edns ? std::clamp<std::size_t>(pr.edns_udp_size, 512,
-                                          std::max<std::size_t>(512, options_.payload_cap))
-                : 512;
-    if (pr.edns) len = AnswerCache::append_opt(reply, len, options_.edns_udp_size);
+        edns ? std::clamp<std::size_t>(query.edns_udp_size, 512,
+                                       std::max<std::size_t>(512, options_.payload_cap))
+             : 512;
+    if (edns) len = AnswerCache::append_opt(reply, len, options_.edns_udp_size);
     if (len > limit) {
-      const std::size_t qe = pr.question_end != 0
-                                 ? pr.question_end
-                                 : AnswerCache::scan_question_end({reply, len});
+      // A compressed or unscanned question: the reply's own question
+      // section, as the codec wrote it, is where truncation cuts.
+      const std::size_t qe =
+          query.question_end != 0 ? query.question_end : scan_query({reply, len}).question_end;
       if (qe != 0) {
-        len = AnswerCache::truncate_to_tc(reply, qe, pr.edns ? options_.edns_udp_size : 0);
+        len = AnswerCache::truncate_to_tc(reply, qe, edns ? options_.edns_udp_size : 0);
         ++worker.stats.tc_responses;
       }
     }
     return len;
   };
+
+  // Answer-cache fast path: canonical IN PTR questions for pre-encoded
+  // addresses skip the handler — header+question memcpy, four-byte patch,
+  // cached tail. Everything else is a miss and takes the handler.
+  std::shared_ptr<const AnswerCache> cache;
+  std::uint64_t cache_epoch_seen = 0;
+  if (options_.answer_cache) {
+    cache = options_.answer_cache();
+    if (options_.answer_cache_epoch != nullptr) {
+      cache_epoch_seen = options_.answer_cache_epoch->load(std::memory_order_acquire);
+    }
+  }
+  // A CHAOS-wrapped handler takes the worker's scan instead of its own.
+  const auto* chaos_handler = worker.handler.target<ServeIntrospection::ChaosHandler>();
 
 #if defined(__linux__)
   const int ep = ::epoll_create1(EPOLL_CLOEXEC);
@@ -313,7 +307,7 @@ void UdpServerLoop::run_worker(Worker& worker, unsigned index) {
       // Hot-reload invalidation: the switchboard bumps the epoch after
       // publishing a new generation; one acquire load per batch keeps the
       // worker's cache image in step with its zone view.
-      if (cache_armed && options_.answer_cache_epoch != nullptr) {
+      if (options_.answer_cache && options_.answer_cache_epoch != nullptr) {
         const std::uint64_t e = options_.answer_cache_epoch->load(std::memory_order_acquire);
         if (e != cache_epoch_seen) {
           cache = options_.answer_cache();
@@ -338,7 +332,6 @@ void UdpServerLoop::run_worker(Worker& worker, unsigned index) {
         }
       }
 
-      outbound.clear();
       for (net::UdpDatagram& query : inbound) {
         if (query.truncated) {
           // Over-long datagram: the payload is a cut-off prefix, so any
@@ -347,9 +340,14 @@ void UdpServerLoop::run_worker(Worker& worker, unsigned index) {
           continue;
         }
         if (probe != nullptr) probe->note_client(query.peer.address);
-        Classified verdict{WireVerdict::Answer, 0, false};
+        // The one scan of this datagram's question; everything below reads it.
+        const QueryView view = scan_query(query.payload);
+        // CHAOS-class queries are the introspection plane's: exempt from
+        // RRL, shedding and the EDNS/TC post-step (its TXT payloads are the
+        // point). Under the guard only CH TXT gets this far.
+        const bool chaos = view.qclass == static_cast<std::uint16_t>(RrClass::CH);
         if (guard_on) {
-          verdict = classify_query(query.payload, restrict_ptr);
+          const Classified verdict = classify_query(view, restrict_ptr);
           if (verdict.verdict == WireVerdict::SilentDrop) {
             ++worker.stats.dropped_malformed;
             continue;
@@ -372,13 +370,13 @@ void UdpServerLoop::run_worker(Worker& worker, unsigned index) {
             } else {
               ++worker.stats.refused_sent;
             }
-            emit(make_guard_response(query.payload, verdict.question_end, rcode, /*tc=*/false),
-                 query.peer);
+            queue_reply(make_guard_response(query.payload, verdict.question_end, rcode,
+                                            /*tc=*/false),
+                        query.peer);
             continue;
           }
-          // In-policy query: RRL then the L3 answer shed. CH TXT chaos
-          // queries bypass both so introspection survives a flood.
-          if (!verdict.chaos) {
+          // In-policy query: RRL then the L3 answer shed.
+          if (!chaos) {
             if (rrl_on) {
               const auto decision = guard.rrl_check(query.peer.address, now_s);
               // At L2+ the slip escape hatch closes too: over-limit
@@ -393,9 +391,9 @@ void UdpServerLoop::run_worker(Worker& worker, unsigned index) {
               if (decision == ServeGuard::RrlDecision::Slip) {
                 ++worker.stats.rrl_slipped;
                 flight::record(flight::Kind::RrlSlip, query.peer.address, index);
-                emit(make_guard_response(query.payload, verdict.question_end, Rcode::NoError,
-                                         /*tc=*/true),
-                     query.peer);
+                queue_reply(make_guard_response(query.payload, verdict.question_end,
+                                                Rcode::NoError, /*tc=*/true),
+                            query.peer);
                 continue;
               }
               if (guard.table_flushes() != last_table_flushes) {
@@ -416,67 +414,42 @@ void UdpServerLoop::run_worker(Worker& worker, unsigned index) {
         const bool sampled = probe != nullptr && probe->should_sample(query.payload);
         std::chrono::steady_clock::time_point t0{};
         if (sampled) t0 = std::chrono::steady_clock::now();
+        const auto record_sample = [&](std::span<const std::uint8_t> reply) {
+          const double latency_us =
+              std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - t0)
+                  .count();
+          probe->on_sampled(view, reply, latency_us, query.peer);
+        };
 
-        // Answer-cache probe: canonical IN PTR questions for pre-encoded
-        // addresses skip the handler entirely — header+question memcpy,
-        // four-byte patch, cached tail. Everything else (chaos, forward
-        // names, unannounced space, non-canonical spellings) is a miss and
-        // takes the handler exactly as before.
-        AnswerCache::Probe pr;
-        if (cache_armed && cache != nullptr) {
-          pr = cache->probe(query.payload);
-          if (pr.edns) ++worker.stats.edns_queries;
-          if (pr.hit) {
-            ++worker.stats.cache_hits;
-            const std::size_t off = slab.size();
-            slab.resize(off + AnswerCache::reply_size(pr) + 11);
-            std::size_t len = AnswerCache::assemble(pr, query.payload, slab.data() + off);
-            len = postprocess(off, len, pr);
-            slab.resize(off + len);
-            slab_replies.push_back(SlabReply{off, len, query.peer});
-            if (sampled) {
-              const double latency_us = std::chrono::duration<double, std::micro>(
-                                            std::chrono::steady_clock::now() - t0)
-                                            .count();
-              std::optional<std::vector<std::uint8_t>> copy{
-                  std::vector<std::uint8_t>(slab.begin() + static_cast<std::ptrdiff_t>(off),
-                                            slab.end())};
-              probe->on_sampled(query.payload, copy, latency_us, query.peer);
-            }
+        // The OPT echo answers standard queries only; the guard lets no
+        // other kind through.
+        const bool edns = !chaos && view.edns && view.standard_query();
+        if (edns) ++worker.stats.edns_queries;
+        const AnswerCache::Probe pr = cache != nullptr ? cache->probe(view) : AnswerCache::Probe{};
+        const std::size_t off = slab.size();
+        std::size_t len = 0;
+        if (pr.hit) {
+          ++worker.stats.cache_hits;
+          slab.resize(off + AnswerCache::reply_size(pr) + 11);
+          len = AnswerCache::assemble(pr, query.payload, slab.data() + off);
+        } else {
+          if (cache != nullptr) ++worker.stats.cache_misses;
+          const auto response = chaos_handler != nullptr ? (*chaos_handler)(view)
+                                                         : worker.handler(query.payload);
+          if (!response) {
+            // Injected timeout (or, unguarded, undecodable input): silence.
+            if (sampled) record_sample({});
+            ++worker.stats.dropped_timeout_fault;
             continue;
           }
-          ++worker.stats.cache_misses;
-        }
-
-        auto response = worker.handler(query.payload);
-        if (sampled) {
-          const double latency_us = std::chrono::duration<double, std::micro>(
-                                        std::chrono::steady_clock::now() - t0)
-                                        .count();
-          probe->on_sampled(query.payload, response, latency_us, query.peer);
-        }
-        if (!response) {
-          // Injected timeout (or, unguarded, undecodable input): silence.
-          ++worker.stats.dropped_timeout_fault;
-          continue;
-        }
-        if (cache_armed) {
-          // Handler replies share the slab so EDNS negotiation and the TC
-          // size limit apply uniformly; chaos replies are exempt (the
-          // introspection plane's TXT payloads are the point).
-          const std::size_t off = slab.size();
           slab.resize(off + response->size() + 11);
           std::memcpy(slab.data() + off, response->data(), response->size());
-          std::size_t len = response->size();
-          if (!pr.chaos && !verdict.chaos) len = postprocess(off, len, pr);
-          slab.resize(off + len);
-          slab_replies.push_back(SlabReply{off, len, query.peer});
-          continue;
+          len = response->size();
         }
-        net::UdpDatagram reply;
-        reply.payload = std::move(*response);
-        reply.peer = query.peer;
-        outbound.push_back(std::move(reply));
+        if (!chaos) len = postprocess(off, len, view, edns);
+        slab.resize(off + len);
+        slab_replies.push_back(SlabReply{off, len, query.peer});
+        if (sampled) record_sample({slab.data() + off, len});
       }
       if (!slab_replies.empty()) {
         // Slab flush: iovecs borrow straight from the slab — one sendmmsg,
@@ -491,11 +464,6 @@ void UdpServerLoop::run_worker(Worker& worker, unsigned index) {
         worker.stats.send_failures += views.size() - sent;
         slab.clear();
         slab_replies.clear();
-      }
-      if (!outbound.empty()) {
-        const std::size_t sent = worker.socket.send_batch(outbound.data(), outbound.size());
-        worker.stats.responses_sent += sent;
-        worker.stats.send_failures += outbound.size() - sent;
       }
       // Publish once per batch: the aggregator reads a consistent snapshot
       // without ever touching the worker's cache lines mid-datagram.

@@ -53,8 +53,8 @@ class ServeIntrospection;  // dns/admin.hpp
 /// equals their sum (the schema checker enforces this on serve.stop).
 /// The remaining counters are overlays: formerr/notimp/refused_sent and
 /// rrl_slipped classify enqueued responses, rrl_dropped/shed_* classify
-/// policy drops, and cache_hits/cache_misses/edns_queries/tc_responses
-/// classify how answers were produced on the cache path.
+/// policy drops, cache_hits/cache_misses classify how answers were
+/// produced, and edns_queries/tc_responses count the EDNS/TC post-step.
 struct UdpServeStats {
   std::uint64_t datagrams_received = 0;
   std::uint64_t responses_sent = 0;
@@ -145,18 +145,18 @@ struct UdpServeOptions {
   ServeIntrospection* introspection = nullptr;
   /// Pre-serialized answer cache (dns/answer_cache.hpp). When set, each
   /// worker fetches the current cache at start and assembles cache hits
-  /// zero-copy in a per-batch reply slab flushed through one sendmmsg;
-  /// misses fall through to the handler. Null (default) keeps the legacy
-  /// per-reply-vector path byte-for-byte unchanged.
+  /// in place in its reply slab; misses fall through to the handler. A hit
+  /// sends the bytes the handler would have sent, so the cache changes
+  /// speed only; null (default) sends every answer through the handler.
   std::function<std::shared_ptr<const AnswerCache>()> answer_cache;
   /// Generation epoch watched between batches: when it moves (hot reload)
   /// the worker re-fetches the cache through `answer_cache` — whole-cache
   /// invalidation for the price of one relaxed load per batch.
   const std::atomic<std::uint64_t>* answer_cache_epoch = nullptr;
   /// EDNS0 (RFC 6891): payload size advertised in the OPT we attach to
-  /// replies for EDNS queries on the cache path. Replies over the
-  /// *client's* advertised size (clamped to [512, payload_cap]) — or over
-  /// 512 for non-EDNS queries — are truncated to TC=1.
+  /// answers to EDNS queries. Answers over the *client's* advertised size
+  /// (clamped to [512, payload_cap]) — or over 512 for non-EDNS queries —
+  /// are truncated to TC=1. CHAOS replies are exempt.
   std::uint16_t edns_udp_size = 1232;
 };
 

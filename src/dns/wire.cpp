@@ -291,6 +291,66 @@ ResourceRecord WireReader::rr() {
   return r;
 }
 
+// ------------------------------------------------------------------ scan --
+
+QueryView scan_query(std::span<const std::uint8_t> wire) noexcept {
+  QueryView v;
+  v.wire = wire;
+  if (wire.size() < 12) return v;
+  const auto u16_at = [wire](std::size_t at) {
+    return static_cast<std::uint16_t>((wire[at] << 8) | wire[at + 1]);
+  };
+  v.header = true;
+  v.id = u16_at(0);
+  v.flags = u16_at(2);
+  v.qdcount = u16_at(4);
+  v.ancount = u16_at(6);
+  v.nscount = u16_at(8);
+  v.arcount = u16_at(10);
+  if (v.qdcount == 0) {
+    v.question_end = 12;
+    return v;
+  }
+
+  // name_at's rules, label by label, without building the name.
+  v.question = QueryView::Question::Malformed;
+  std::size_t pos = 12;
+  std::size_t octets = 1;  // root label
+  for (;;) {
+    if (pos >= wire.size()) return v;
+    const std::uint8_t len = wire[pos];
+    if ((len & 0xC0) == 0xC0) {
+      v.question = QueryView::Question::Compressed;
+      if (pos + 6 <= wire.size()) {
+        v.qtype = u16_at(pos + 2);
+        v.qclass = u16_at(pos + 4);
+      }
+      return v;
+    }
+    if ((len & 0xC0) != 0) return v;  // reserved label type
+    if (len == 0) break;
+    if (pos + 1 + len > wire.size()) return v;
+    if (!is_valid_label({reinterpret_cast<const char*>(wire.data() + pos + 1), len})) return v;
+    octets += std::size_t{len} + 1;
+    if (octets > 255) return v;
+    v.label_at[v.label_count++] = static_cast<std::uint8_t>(pos - 12);
+    pos += 1 + std::size_t{len};
+  }
+  const std::size_t end = pos + 1 + 4;  // root octet, QTYPE, QCLASS
+  if (end > wire.size()) return v;
+  v.question = QueryView::Question::Clean;
+  v.qtype = u16_at(end - 4);
+  v.qclass = u16_at(end - 2);
+  if (v.qdcount != 1) return v;
+  v.question_end = end;
+  if (v.ancount == 0 && v.nscount == 0 && v.arcount == 1 && end + 11 <= wire.size() &&
+      wire[end] == 0x00 && u16_at(end + 1) == 41 && end + 11 + u16_at(end + 9) == wire.size()) {
+    v.edns = true;
+    v.edns_udp_size = u16_at(end + 3);
+  }
+  return v;
+}
+
 // --------------------------------------------------------------- message --
 
 std::vector<std::uint8_t> encode(const Message& m) {

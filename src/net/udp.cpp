@@ -303,6 +303,4 @@ std::size_t UdpSocket::send_batch(const UdpSendView* first, std::size_t count) {
 
 bool UdpSocket::wait_readable(int timeout_ms) const { return poll_one(fd_, POLLIN, timeout_ms); }
 
-bool UdpSocket::wait_writable(int timeout_ms) const { return poll_one(fd_, POLLOUT, timeout_ms); }
-
 }  // namespace rdns::net

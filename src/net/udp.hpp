@@ -8,7 +8,7 @@
 ///
 /// Design points:
 ///   - non-blocking by construction; readiness waits go through
-///     wait_readable()/wait_writable() (poll(2)) with millisecond deadlines;
+///     wait_readable() (poll(2)) with millisecond deadlines;
 ///   - SO_REUSEPORT is opt-in at bind time — the serving loop shards one
 ///     port across N worker sockets and lets the kernel hash flows;
 ///   - truncation is surfaced, not hidden: a datagram longer than the
@@ -116,10 +116,9 @@ class UdpSocket {
   /// kernel without an owning copy per datagram.
   std::size_t send_batch(const UdpSendView* first, std::size_t count);
 
-  /// Block up to `timeout_ms` for readability/writability (poll). Returns
-  /// true when ready, false on timeout. Negative timeout = wait forever.
+  /// Block up to `timeout_ms` for readability (poll). Returns true when
+  /// ready, false on timeout. Negative timeout = wait forever.
   [[nodiscard]] bool wait_readable(int timeout_ms) const;
-  [[nodiscard]] bool wait_writable(int timeout_ms) const;
 
   /// Default per-datagram payload cap for batched receives: the classic
   /// EDNS0-sized DNS buffer.

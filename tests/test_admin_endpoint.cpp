@@ -78,34 +78,6 @@ TEST(ServeLatencySnapshot, PercentileInterpolatesWithinBuckets) {
   EXPECT_GT(snap.percentile(99), 32.0);
 }
 
-TEST(PeekQuestion, ParsesWellFormedQuestion) {
-  const auto wire = chaos_query("STATS.rdns");
-  std::uint16_t qtype = 0, qclass = 0;
-  std::string qname;
-  ASSERT_TRUE(peek_question(wire, &qtype, &qclass, &qname));
-  EXPECT_EQ(qtype, static_cast<std::uint16_t>(RrType::TXT));
-  EXPECT_EQ(qclass, static_cast<std::uint16_t>(RrClass::CH));
-  EXPECT_EQ(qname, "stats.rdns");  // lowercased, no trailing dot
-}
-
-TEST(PeekQuestion, RejectsMalformedPayloads) {
-  std::uint16_t qtype = 0, qclass = 0;
-  // Too short for a header.
-  const std::vector<std::uint8_t> stub(11, 0);
-  EXPECT_FALSE(peek_question(stub, &qtype, &qclass, nullptr));
-  // Header claims a question but the name runs off the end.
-  std::vector<std::uint8_t> truncated(14, 0);
-  truncated[5] = 1;   // qdcount = 1
-  truncated[12] = 9;  // label of 9 bytes, only 1 present
-  EXPECT_FALSE(peek_question(truncated, &qtype, &qclass, nullptr));
-  // Compression pointer (0xC0) in a query name is rejected, not chased.
-  std::vector<std::uint8_t> compressed(18, 0);
-  compressed[5] = 1;
-  compressed[12] = 0xC0;
-  compressed[13] = 0x0C;
-  EXPECT_FALSE(peek_question(compressed, &qtype, &qclass, nullptr));
-}
-
 TEST(ServeIntrospection, PublishAggregateRoundTrip) {
   ServeIntrospection plane{2, test_config()};
   auto& p0 = plane.probe(0);
@@ -151,7 +123,7 @@ TEST(ServeIntrospection, SampledLatencyFeedsHistogramAndQnames) {
   EXPECT_TRUE(probe.should_sample(query));
   const net::UdpEndpoint client{0x7f000001u, 9999};
   for (int i = 0; i < 10; ++i) {
-    probe.on_sampled(query, std::nullopt, 100.0, client);
+    probe.on_sampled(scan_query(query), {}, 100.0, client);
   }
   probe.publish(UdpServeStats{});
 

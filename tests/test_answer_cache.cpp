@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -19,6 +20,7 @@
 #include "dns/server.hpp"
 #include "dns/udp_server.hpp"
 #include "dns/wire.hpp"
+#include "dns/zone.hpp"
 #include "net/arpa.hpp"
 #include "net/ipv4.hpp"
 #include "net/udp.hpp"
@@ -49,6 +51,16 @@ std::unique_ptr<AuthoritativeServer> make_server(const char* suffix) {
                            net::Ipv4Addr::must_parse("10.80.3.255"),
                            DnsName::must_parse(suffix), 3600);
   return server;
+}
+
+/// 24 PTRs with long targets at `owner`: an answer of about 1.1 KB, over
+/// the classic 512 bytes and under a 4096-byte EDNS buffer.
+void add_oversize_owner(Zone& zone, const DnsName& owner) {
+  for (int i = 0; i < 24; ++i) {
+    zone.add(make_ptr(owner, DnsName::must_parse(
+                                 "very-long-hostname-number-" + std::to_string(i) +
+                                 ".some-deep.subdomain.example-university.edu")));
+  }
 }
 
 std::shared_ptr<const AnswerCache> cache_over(const AuthoritativeServer& server,
@@ -185,7 +197,7 @@ TEST(AnswerCache, ProbeParsesEdnsOpt) {
   const auto p = cache->probe(wire);
   EXPECT_TRUE(p.hit);
   EXPECT_TRUE(p.edns);
-  EXPECT_EQ(p.edns_udp_size, 1400);
+  EXPECT_EQ(scan_query(wire).edns_udp_size, 1400);
 }
 
 TEST(AnswerCache, ProbeRejectsMalformedOpt) {
@@ -247,12 +259,6 @@ TEST(AnswerCache, AppendOptAndTruncateToTc) {
   EXPECT_EQ(truncated.additional[0].type(), kOpt);
 }
 
-TEST(AnswerCache, ScanQuestionEndMatchesEncodedQuery) {
-  const auto wire = encode(make_ptr_query(1, net::Ipv4Addr::must_parse("10.80.1.1")));
-  EXPECT_EQ(AnswerCache::scan_question_end(wire), wire.size());
-  EXPECT_EQ(AnswerCache::scan_question_end(std::span<const std::uint8_t>{}), 0u);
-}
-
 // -- serve-loop integration over real sockets ----------------------------
 
 struct RawClient {
@@ -274,11 +280,19 @@ struct RawClient {
   }
 };
 
+/// The codec path as the serve tool's handler runs it: a datagram that
+/// does not decode is dropped.
 UdpServerLoop::WireHandler server_handler(const AuthoritativeServer& server) {
   return [&server](std::span<const std::uint8_t> query)
              -> std::optional<std::vector<std::uint8_t>> {
+    Message request;
+    try {
+      request = decode(query);
+    } catch (const WireError&) {
+      return std::nullopt;
+    }
     ServerStats scratch;
-    const auto response = server.handle_readonly(decode(query), scratch);
+    const auto response = server.handle_readonly(request, scratch);
     if (!response) return std::nullopt;
     return encode(*response);
   };
@@ -286,6 +300,8 @@ UdpServerLoop::WireHandler server_handler(const AuthoritativeServer& server) {
 
 TEST(AnswerCacheLoop, CacheOnRepliesByteIdenticalToCacheOff) {
   const auto server = make_server("one.test");
+  const DnsName oversize = DnsName::must_parse("1.200.80.10.in-addr.arpa");
+  add_oversize_owner(*server->find_zone(oversize), oversize);
   const auto cache = cache_over(*server);
 
   UdpServeOptions off_options;
@@ -313,10 +329,41 @@ TEST(AnswerCacheLoop, CacheOnRepliesByteIdenticalToCacheOff) {
     EXPECT_EQ(*off_reply, *on_reply) << "host offset " << host;
   }
 
+  // An answer over 512 bytes: both loops truncate it to TC=1, and with a
+  // 4096-byte OPT both send it whole with the server's OPT appended.
+  auto plain = encode(make_ptr_query(100, net::Ipv4Addr::must_parse("10.80.200.1")));
+  auto edns = encode(make_ptr_query(101, net::Ipv4Addr::must_parse("10.80.200.1")));
+  edns.insert(edns.end(), {0x00, 0x00, 0x29, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00,
+                           0x00, 0x00});
+  edns[11] = 1;
+  for (const auto* wire : {&plain, &edns}) {
+    const auto off_reply = off_client.exchange(*wire);
+    const auto on_reply = on_client.exchange(*wire);
+    ASSERT_TRUE(off_reply.has_value());
+    ASSERT_TRUE(on_reply.has_value());
+    EXPECT_EQ(*off_reply, *on_reply) << (wire == &plain ? "plain" : "edns");
+    EXPECT_EQ(decode(*off_reply).flags.tc, wire == &plain);
+  }
+
+  // A qname decode() refuses — '\r' where "in-addr" has '-' — is dropped by
+  // the handler, and must be by the cache too: each loop's next reply
+  // answers the query sent after it.
+  auto cr = encode(make_ptr_query(102, net::Ipv4Addr::must_parse("10.80.1.7")));
+  *std::find(cr.begin() + 12, cr.end(), '-') = 0x0D;
+  const auto next = encode(make_ptr_query(103, net::Ipv4Addr::must_parse("10.80.1.8")));
+  for (RawClient* client : {&off_client, &on_client}) {
+    ASSERT_TRUE(client->socket.send(cr, client->server));
+    const auto reply = client->exchange(next);
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_GE(reply->size(), 2u);
+    EXPECT_EQ((*reply)[0] << 8 | (*reply)[1], 103)
+        << (client == &on_client ? "cache on" : "cache off");
+  }
+
   on_loop.stop();
   off_loop.stop();
   EXPECT_GT(on_loop.stats().cache_hits, 0u);
-  EXPECT_EQ(on_loop.stats().cache_misses, 0u);
+  EXPECT_EQ(on_loop.stats().cache_misses, 1u);  // the '\r' query
   EXPECT_EQ(off_loop.stats().cache_hits, 0u);
 }
 
@@ -383,12 +430,7 @@ TEST(AnswerCacheLoop, OversizeAnswerTruncatesThenEdnsRaisesTheLimit) {
   // A single owner with enough PTRs that the reply exceeds 512 bytes.
   AuthoritativeServer server;
   Zone& zone = server.add_zone(DnsName::must_parse("80.10.in-addr.arpa"), test_soa());
-  const DnsName owner = DnsName::must_parse("1.1.80.10.in-addr.arpa");
-  for (int i = 0; i < 24; ++i) {
-    zone.add(make_ptr(owner, DnsName::must_parse(
-                                 "very-long-hostname-number-" + std::to_string(i) +
-                                 ".some-deep.subdomain.example-university.edu")));
-  }
+  add_oversize_owner(zone, DnsName::must_parse("1.1.80.10.in-addr.arpa"));
   const auto cache = cache_over(server);
 
   UdpServeOptions options;

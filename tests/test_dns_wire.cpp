@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "net/arpa.hpp"
 #include "util/rng.hpp"
 
@@ -184,6 +186,57 @@ TEST_P(WireFuzz, NeverCrashes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WireFuzz, ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+// -- scan_query ----------------------------------------------------------
+
+TEST(ScanQuery, ParsesWellFormedQuestion) {
+  Message q = make_query(7, DnsName::must_parse("STATS.rdns"), RrType::TXT);
+  q.questions.front().qclass = RrClass::CH;
+  const auto wire = encode(q);
+  const QueryView v = scan_query(wire);
+  ASSERT_EQ(v.question, QueryView::Question::Clean);
+  EXPECT_EQ(v.id, 7);
+  EXPECT_EQ(v.qtype, static_cast<std::uint16_t>(RrType::TXT));
+  EXPECT_EQ(v.qclass, static_cast<std::uint16_t>(RrClass::CH));
+  ASSERT_EQ(v.label_count, 2u);
+  EXPECT_EQ(v.label(0), "STATS");  // the client's bytes, case kept
+  EXPECT_EQ(v.label(1), "rdns");
+  EXPECT_EQ(v.question_end, wire.size());
+  EXPECT_FALSE(v.edns);
+}
+
+TEST(ScanQuery, RejectsMalformedPayloads) {
+  // Too short for a header.
+  const std::vector<std::uint8_t> stub(11, 0);
+  EXPECT_FALSE(scan_query(stub).header);
+  EXPECT_EQ(scan_query(stub).question, QueryView::Question::None);
+  // Header claims a question but the name runs off the end.
+  std::vector<std::uint8_t> truncated(14, 0);
+  truncated[5] = 1;   // qdcount = 1
+  truncated[12] = 9;  // label of 9 bytes, only 1 present
+  EXPECT_EQ(scan_query(truncated).question, QueryView::Question::Malformed);
+  EXPECT_EQ(scan_query(truncated).question_end, 0u);
+  // Compression pointer (0xC0) in a query name is noted, not chased.
+  std::vector<std::uint8_t> compressed(18, 0);
+  compressed[5] = 1;
+  compressed[12] = 0xC0;
+  compressed[13] = 0x0C;
+  EXPECT_EQ(scan_query(compressed).question, QueryView::Question::Compressed);
+  EXPECT_EQ(scan_query(compressed).question_end, 0u);
+  // A byte decode() refuses in a label: '\r' (0x0D) where "in-addr" has '-'.
+  auto cr = encode(make_ptr_query(1, net::Ipv4Addr::must_parse("10.80.1.7")));
+  *std::find(cr.begin() + 12, cr.end(), '-') = 0x0D;  // 7.1.80.10.in\raddr.arpa
+  EXPECT_THROW((void)decode(cr), WireError);
+  EXPECT_EQ(scan_query(cr).question, QueryView::Question::Malformed);
+}
+
+TEST(ScanQuery, QuestionEndMatchesEncodedQuery) {
+  const auto wire = encode(make_ptr_query(1, net::Ipv4Addr::must_parse("10.80.1.1")));
+  EXPECT_EQ(scan_query(wire).question_end, wire.size());
+  EXPECT_EQ(scan_query(std::span<const std::uint8_t>{}).question_end, 0u);
+  // No question: the section ends with the header.
+  EXPECT_EQ(scan_query(encode(Message{})).question_end, 12u);
+}
 
 TEST(MessageText, RenderingContainsSections) {
   const std::string text = sample_ptr_response().to_string();

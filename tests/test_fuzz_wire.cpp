@@ -8,7 +8,9 @@
 //   * an Answer verdict guarantees decode() cannot throw downstream;
 //   * error verdicts produce guard responses that always re-decode;
 //   * decode() itself only ever fails by throwing WireError (no crashes —
-//     the ASan CI leg turns memory bugs into hard failures here).
+//     the ASan CI leg turns memory bugs into hard failures here);
+//   * an answer-cache hit implies decode() succeeds, and the assembled
+//     reply equals the codec's.
 //
 // A final socket-level blast feeds a slice of the corpus to a guarded
 // UdpServerLoop and proves the worker still answers a clean query after.
@@ -16,14 +18,20 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
+#include "dns/answer_cache.hpp"
 #include "dns/message.hpp"
 #include "dns/serve_guard.hpp"
+#include "dns/server.hpp"
 #include "dns/udp_server.hpp"
 #include "dns/wire.hpp"
+#include "dns/zone.hpp"
+#include "net/arpa.hpp"
 #include "net/ipv4.hpp"
 #include "net/udp.hpp"
 
@@ -104,6 +112,34 @@ std::vector<std::vector<std::uint8_t>> base_corpus() {
   }
   return corpus;
 }
+
+/// A server holding a PTR for each of the base corpus's query addresses,
+/// and an answer cache over the /24 around each: the mutations that keep a
+/// canonical PTR shape probe against it.
+struct CorpusZones {
+  AuthoritativeServer server;
+  std::shared_ptr<const AnswerCache> cache;
+
+  CorpusZones() {
+    SoaRdata soa;
+    soa.mname = DnsName::must_parse("ns.corpus.example");
+    soa.rname = DnsName::must_parse("hostmaster.corpus.example");
+    std::vector<AnswerCache::Source> sources;
+    for (const net::Ipv4Addr a : {net::Ipv4Addr{10, 1, 2, 3}, net::Ipv4Addr{192, 168, 250, 251},
+                                  net::Ipv4Addr{1, 0, 0, 1}, net::Ipv4Addr{172, 16, 0, 9},
+                                  net::Ipv4Addr{10, 80, 1, 7}, net::Ipv4Addr{100, 64, 3, 2}}) {
+      Zone& zone = server.add_zone(
+          DnsName::must_parse(std::to_string(a.octet(1)) + "." + std::to_string(a.octet(0)) +
+                              ".in-addr.arpa"),
+          soa);
+      zone.add(make_ptr(DnsName::must_parse(net::to_arpa(a)),
+                        DnsName::must_parse("host.corpus.example")));
+      const net::Ipv4Addr first = net::slash24_of(a);
+      sources.push_back({&server, first, first + 0xFF});
+    }
+    cache = AnswerCache::build(sources);
+  }
+};
 
 /// One seeded mutation of `base`. Nine strategies weighted toward the
 /// shapes the classifier's branches care about.
@@ -196,9 +232,11 @@ std::vector<std::uint8_t> mutate(const std::vector<std::uint8_t>& base, SplitMix
 
 TEST(FuzzWire, ClassifierAndCodecSurviveSeededMutations) {
   const auto corpus = base_corpus();
+  const CorpusZones zones;
   SplitMix64 rng{kSeed};
 
   std::uint64_t verdicts[5] = {0, 0, 0, 0, 0};
+  std::uint64_t cache_hits = 0;
   for (int iteration = 0; iteration < kMutations; ++iteration) {
     const auto& base = corpus[static_cast<std::size_t>(iteration) % corpus.size()];
     const std::vector<std::uint8_t> wire = mutate(base, rng);
@@ -240,10 +278,25 @@ TEST(FuzzWire, ClassifierAndCodecSurviveSeededMutations) {
       case WireVerdict::SilentDrop:
         break;
     }
+
+    // Contract 5: the cache answers only what the codec answers, with the
+    // codec's bytes.
+    const AnswerCache::Probe p = zones.cache->probe(wire);
+    if (p.hit) {
+      ++cache_hits;
+      ASSERT_TRUE(decodable) << "cache hit on a datagram decode() refuses";
+      std::vector<std::uint8_t> assembled(AnswerCache::reply_size(p));
+      assembled.resize(AnswerCache::assemble(p, wire, assembled.data()));
+      ServerStats scratch;
+      const auto reply = zones.server.handle_readonly(decode(wire), scratch);
+      ASSERT_TRUE(reply.has_value());
+      ASSERT_EQ(assembled, encode(*reply)) << "cache hit differs from the codec reply";
+    }
   }
 
   // The corpus must actually exercise every branch; a mutator regression
   // that collapses the distribution should fail loudly, not fuzz nothing.
+  EXPECT_GT(cache_hits, 0u);
   EXPECT_GT(verdicts[static_cast<std::size_t>(WireVerdict::Answer)], 0u);
   EXPECT_GT(verdicts[static_cast<std::size_t>(WireVerdict::SilentDrop)], 0u);
   EXPECT_GT(verdicts[static_cast<std::size_t>(WireVerdict::FormErr)], 0u);
