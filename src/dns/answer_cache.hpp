@@ -4,12 +4,19 @@
 ///
 /// The serve path freezes its zones for the lifetime of a generation (the
 /// switchboard swaps whole worlds on reload), so every PTR answer is known
-/// at serve start. This cache stores, per address, the *tail* of the
-/// encoded reply — everything after the question section — built once by
-/// the reference codec. The hot path then assembles a reply with two
-/// memcpys and a four-byte header patch: copy the client's own header +
-/// question, patch flags/rcode/section counts, append the cached tail. No
-/// Message object, no WireWriter, no allocation.
+/// at serve start. This cache holds the *tail* of each encoded reply —
+/// everything after the question section — built once by the reference
+/// codec. The hot path then assembles a reply with two memcpys and a
+/// four-byte header patch: copy the client's own header + question, patch
+/// flags/rcode/section counts, append the cached tail. No Message object,
+/// no WireWriter, no allocation.
+///
+/// Only hosts with data in their zone (PTR owners, and NODATA owners that
+/// hold other records) get a tail of their own. Every other host of a zone
+/// gets the same NXDOMAIN reply, whose tail differs only by the compression
+/// pointer to the origin, i.e. by the lengths of the first two qname
+/// labels; the zone keeps five such tails. The build walks the PTR store
+/// and calls the codec once per host with data plus five times per zone.
 ///
 /// Why the tail is byte-stable across clients: RFC 1035 §4.1.4 compression
 /// pointers in the answer/authority sections reference offsets inside the
@@ -34,12 +41,19 @@
 /// whole /16 would invent NXDOMAINs. build() therefore takes explicit
 /// [first, last] ranges mirroring the router's announced-prefix table; any
 /// address outside them probes as a miss and falls through to the handler.
+/// So does every address of a /16 that its server does not answer from a
+/// compact /16 reverse zone alone (no zone, a legacy-storage zone, or a
+/// zone under the /16, which find_zone prefers for the hosts it holds),
+/// and every NXDOMAIN address of a zone whose SOA MNAME or RNAME ends in
+/// its own origin: that SOA could compress against the qname's own
+/// labels, so its tail would not be shared.
 ///
 /// Fault injection: a cache hit bypasses handle_readonly and with it the
 /// deterministic fault sites (DnsTimeout/DnsServfail/DnsTruncate) and any
 /// per-server FaultPolicy. Callers must not arm the cache when either is
 /// active; rdns_tool serve auto-disables it and says so.
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -77,7 +91,7 @@ class AnswerCache {
     std::span<const std::uint8_t> tail;  ///< reply bytes after the question
   };
 
-  /// Pre-encode every PTR answer in the given ranges by replicating the
+  /// Pre-encode the PTR answers in the given ranges by replicating the
   /// server's answer_query logic through the reference codec. Pure: no
   /// ServerStats or dns.server.* side effects during the build.
   [[nodiscard]] static std::shared_ptr<const AnswerCache> build(
@@ -104,7 +118,9 @@ class AnswerCache {
   static std::size_t assemble(const Probe& p, std::span<const std::uint8_t> query,
                               std::uint8_t* out) noexcept;
 
+  /// Addresses that probe as a hit.
   [[nodiscard]] std::size_t entry_count() const noexcept { return entries_; }
+  /// Heap and inline footprint of the shards.
   [[nodiscard]] std::size_t bytes() const noexcept;
 
   // -- wire post-processing helpers shared by the serve loop and tests --
@@ -122,11 +138,25 @@ class AnswerCache {
                                     std::uint16_t opt_udp_size) noexcept;
 
  private:
-  /// One /16 of pre-encoded answers. `offsets` holds 65537 prefix sums
-  /// into `blob`; a zero-length slice means "not cached". Entry layout:
+  static constexpr std::uint32_t kNoEntry = 0xFFFFFFFFu;
+
+  /// A stretch of hosts, up to the next run's first, that shares one
+  /// NXDOMAIN entry set (or none: not cached).
+  struct Run {
+    std::uint32_t first = 0;  ///< first host part; runs[0].first is 0
+    std::uint32_t nxdomain = kNoEntry;  ///< entry of length class 0; class k is +k
+  };
+
+  /// One /16. A host with data has bit `host` set in `explicit_bits`; its
+  /// entry is rank[host / 64] plus the set bits below it in that word.
+  /// Any other host reads its run's NXDOMAIN set at the question's length
+  /// class. Entry i spans blob[offsets[i], offsets[i + 1]):
   /// [rcode u8][ancount u16 BE][nscount u8][tail bytes].
   struct Shard {
     std::uint32_t base = 0;  ///< address >> 16
+    std::array<std::uint64_t, 1024> explicit_bits{};
+    std::array<std::uint32_t, 1024> rank{};
+    std::vector<Run> runs;
     std::vector<std::uint32_t> offsets;
     std::vector<std::uint8_t> blob;
   };

@@ -203,6 +203,9 @@ std::optional<Message> AuthoritativeServer::handle(const Message& request) {
 
 std::optional<Message> AuthoritativeServer::handle_readonly(const Message& request,
                                                             ServerStats& stats) const {
+  // A response (QR=1) is never a query: answering one would complete a
+  // reflection loop. serve_guard's classify_query drops it the same way.
+  if (request.flags.qr) return std::nullopt;
   ServerMetrics& m = server_metrics();
   ++stats.queries;
   m.queries.inc();
@@ -224,6 +227,12 @@ std::optional<Message> AuthoritativeServer::handle_readonly(const Message& reque
     ++stats.refused;
     m.refused.inc();
     return make_response(request, Rcode::Refused, /*authoritative=*/false);
+  }
+  if (request.flags.opcode != Opcode::Query) {
+    // NOTIFY, IQUERY, STATUS and unassigned opcodes (RFC 1035 §4.1.1).
+    ++stats.refused;
+    m.refused.inc();
+    return make_response(request, Rcode::NotImp, /*authoritative=*/false);
   }
   // Chaos-profile faults (util::faults) on top of the per-server policy:
   // same stateless-hash determinism, but driven by the process-wide

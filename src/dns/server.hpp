@@ -109,7 +109,8 @@ class AuthoritativeServer {
   /// pure hash of (fault seed, transaction id, qname), so the outcome of
   /// every query is independent of query order and thread count — the
   /// property the deterministic parallel sweep relies on. UPDATE messages
-  /// are refused here; mutation must go through handle().
+  /// are refused here; mutation must go through handle(). A response
+  /// (QR=1) gets no reply, and any other opcode but QUERY gets NOTIMP.
   ///
   /// Thread safety: safe to call from many threads concurrently as long
   /// as nothing mutates the hosted zones meanwhile (frozen sim clock).

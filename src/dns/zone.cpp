@@ -311,6 +311,15 @@ void Zone::for_each_ptr(
   }
 }
 
+std::vector<net::Ipv4Addr> Zone::map_address_owners() const {
+  std::vector<net::Ipv4Addr> out;
+  std::uint16_t offset = 0;
+  for (const auto& [name, rrs] : records_) {
+    if (classify(name, &offset)) out.push_back(ptrs_->address_of(offset));
+  }
+  return out;
+}
+
 std::vector<DnsName> Zone::names_with_type(RrType type) const {
   std::vector<DnsName> out;
   if (type == RrType::PTR && ptrs_ != nullptr && !ptrs_->empty()) {

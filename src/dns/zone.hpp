@@ -121,6 +121,11 @@ class Zone {
   void for_each_ptr(
       const std::function<void(net::Ipv4Addr, std::string_view, std::uint32_t)>& fn) const;
 
+  /// Addresses of the 4-octet owners whose records sit in the map rather
+  /// than the compact PTR store (TXT or A data at an address owner), in
+  /// canonical owner order. Empty unless compact().
+  [[nodiscard]] std::vector<net::Ipv4Addr> map_address_owners() const;
+
   /// Bulk-add generic PTRs host-a-b-c-d.<suffix> for every address in
   /// [first, last] (inclusive), ttl `ttl` — observably identical to
   /// repeated add(make_ptr(...)) (duplicates skipped, serial bumped once

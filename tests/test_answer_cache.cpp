@@ -9,10 +9,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "dns/answer_cache.hpp"
@@ -134,6 +136,107 @@ TEST(AnswerCache, NxDomainEntryCarriesSoaAuthority) {
   EXPECT_EQ(reply.flags.rcode, Rcode::NxDomain);
   ASSERT_EQ(reply.authority.size(), 1u);
   EXPECT_EQ(reply.authority[0].type(), RrType::SOA);
+}
+
+TEST(AnswerCache, EveryHostOfASplitSlash16MatchesTheCodec) {
+  // Server A: generic PTR runs whose owners fall in all five question-length
+  // classes (third and fourth octets of 1, 2 and 3 digits), the 24-PTR
+  // owner, NODATA owners (a TXT and an A record with no PTR) and an owner
+  // holding both a PTR and a TXT.
+  const auto a = make_server("one.test");
+  Zone& zone_a = *a->find_zone(DnsName::must_parse("80.10.in-addr.arpa"));
+  for (const char* first : {"10.80.42.0", "10.80.100.0"}) {
+    const net::Ipv4Addr lo = net::Ipv4Addr::must_parse(first);
+    a->populate_generic(lo, lo + 0xFF, DnsName::must_parse("one.test"), 3600);
+  }
+  add_oversize_owner(zone_a, DnsName::must_parse("1.99.80.10.in-addr.arpa"));
+  zone_a.add(make_txt(DnsName::must_parse("7.9.80.10.in-addr.arpa"), {"printer"}));
+  zone_a.add(make_a(DnsName::must_parse("200.120.80.10.in-addr.arpa"),
+                    net::Ipv4Addr::must_parse("10.80.120.200")));
+  zone_a.add(make_txt(DnsName::must_parse("5.1.80.10.in-addr.arpa"), {"lab"}));
+
+  // Server B: its own copy of the zone under another SOA.
+  AuthoritativeServer b;
+  SoaRdata soa_b = test_soa();
+  soa_b.mname = DnsName::must_parse("ns.other.example");
+  soa_b.rname = DnsName::must_parse("dns-admin.other.example");
+  soa_b.minimum = 60;
+  b.add_zone(DnsName::must_parse("80.10.in-addr.arpa"), soa_b);
+  b.populate_generic(net::Ipv4Addr::must_parse("10.80.200.0"),
+                     net::Ipv4Addr::must_parse("10.80.200.255"),
+                     DnsName::must_parse("two.test"), 600);
+
+  // A answers hosts 0x0000-0x7FFF, B 0x8000-0xEFFF; 0xF000-0xFFFF is not
+  // announced.
+  const auto cache = AnswerCache::build(
+      {{a.get(), net::Ipv4Addr::must_parse("10.80.0.0"), net::Ipv4Addr::must_parse("10.80.127.255")},
+       {&b, net::Ipv4Addr::must_parse("10.80.128.0"), net::Ipv4Addr::must_parse("10.80.239.255")}});
+  EXPECT_EQ(cache->entry_count(), 0xF000u);
+
+  int failures = 0;
+  for (std::uint32_t host = 0; host < 0x10000 && failures < 20; ++host) {
+    const net::Ipv4Addr address{(10u << 24) | (80u << 16) | host};
+    const AuthoritativeServer* server =
+        host < 0x8000 ? a.get() : host < 0xF000 ? &b : nullptr;
+    std::string mixed = net::to_arpa(address);
+    for (std::size_t i = mixed.find("in-addr"); i < mixed.size(); i += 2) {
+      mixed[i] = static_cast<char>(std::toupper(static_cast<unsigned char>(mixed[i])));
+    }
+    // Plain with RD=1, plain with RD=0, mixed case.
+    for (int variant = 0; variant < 3; ++variant) {
+      const auto id = static_cast<std::uint16_t>(host * 3 + static_cast<std::uint32_t>(variant));
+      Message q = variant == 2 ? make_query(id, DnsName::must_parse(mixed), RrType::PTR)
+                               : make_ptr_query(id, address);
+      q.flags.rd = variant == 0;
+      const auto wire = encode(q);
+      const AnswerCache::Probe p = cache->probe(wire);
+      if (server == nullptr) {
+        if (p.hit) {
+          ADD_FAILURE() << "uncovered host " << address.to_string() << " hit, variant " << variant;
+          ++failures;
+        }
+        continue;
+      }
+      if (!p.hit) {
+        ADD_FAILURE() << "covered host " << address.to_string() << " missed, variant " << variant;
+        ++failures;
+        continue;
+      }
+      std::vector<std::uint8_t> assembled(AnswerCache::reply_size(p));
+      assembled.resize(AnswerCache::assemble(p, wire, assembled.data()));
+      if (assembled != codec_reply(*server, wire)) {
+        ADD_FAILURE() << "host " << address.to_string() << " differs from the codec, variant "
+                      << variant;
+        ++failures;
+      }
+    }
+  }
+}
+
+TEST(AnswerCache, LongerZonesAndSelfReferentialSoaStayWithTheHandler) {
+  // find_zone answers 10.80.7.0/24 from its own zone: a /16 whose server
+  // hosts a zone under it is left to the handler whole. 81.10's SOA MNAME
+  // ends in the zone's origin and may compress against the qname's own
+  // labels: its owners are cached, its NXDOMAIN hosts are not.
+  const auto server = make_server("one.test");
+  server->add_zone(DnsName::must_parse("7.80.10.in-addr.arpa"), test_soa());
+  SoaRdata self = test_soa();
+  self.mname = DnsName::must_parse("ns.1.81.10.in-addr.arpa");
+  Zone& zone = server->add_zone(DnsName::must_parse("81.10.in-addr.arpa"), self);
+  zone.add(make_ptr(DnsName::must_parse("5.1.81.10.in-addr.arpa"),
+                    DnsName::must_parse("host.x.edu")));
+  zone.add(make_txt(DnsName::must_parse("9.1.81.10.in-addr.arpa"), {"nodata"}));
+  const auto cache = cache_over(*server, "10.80.0.0", "10.81.255.255");
+  EXPECT_EQ(cache->entry_count(), 2u);
+
+  for (const char* host : {"10.80.7.1", "10.80.1.1", "10.80.200.9", "10.81.1.6"}) {
+    EXPECT_FALSE(cache->probe(encode(make_ptr_query(1, net::Ipv4Addr::must_parse(host)))).hit)
+        << host;
+  }
+  for (const char* host : {"10.81.1.5", "10.81.1.9"}) {
+    const auto wire = encode(make_ptr_query(2, net::Ipv4Addr::must_parse(host)));
+    EXPECT_EQ(cache_reply(*cache, wire), codec_reply(*server, wire)) << host;
+  }
 }
 
 // -- probe classification ------------------------------------------------
@@ -365,6 +468,39 @@ TEST(AnswerCacheLoop, CacheOnRepliesByteIdenticalToCacheOff) {
   EXPECT_GT(on_loop.stats().cache_hits, 0u);
   EXPECT_EQ(on_loop.stats().cache_misses, 1u);  // the '\r' query
   EXPECT_EQ(off_loop.stats().cache_hits, 0u);
+}
+
+TEST(AnswerCacheLoop, GuardOffLoopDropsResponsesAndAnswersNotifyNotImp) {
+  // With the guard off (the UdpServeOptions default) these shapes reach
+  // the handler: the probe takes only QR=0 QUERY datagrams.
+  const auto server = make_server("one.test");
+  const auto cache = cache_over(*server);
+  UdpServeOptions options;
+  options.threads = 1;
+  options.answer_cache = [cache]() { return cache; };
+  UdpServerLoop loop{options, [&](unsigned) { return server_handler(*server); }};
+  ASSERT_TRUE(loop.start());
+  RawClient client{loop.endpoint()};
+
+  Message notify = make_ptr_query(1, net::Ipv4Addr::must_parse("10.80.1.1"));
+  notify.flags.opcode = static_cast<Opcode>(4);  // NOTIFY (RFC 1996)
+  const auto notimp = client.exchange(encode(notify));
+  ASSERT_TRUE(notimp.has_value());
+  const Message reply = decode(*notimp);
+  EXPECT_EQ(reply.flags.rcode, Rcode::NotImp);
+  EXPECT_EQ(reply.flags.opcode, notify.flags.opcode);
+  EXPECT_TRUE(reply.answers.empty());
+
+  // A response gets no reply: the next reply answers the query after it.
+  Message response = make_ptr_query(2, net::Ipv4Addr::must_parse("10.80.1.1"));
+  response.flags.qr = true;
+  ASSERT_TRUE(client.socket.send(encode(response), client.server));
+  const auto next = client.exchange(encode(make_ptr_query(3, net::Ipv4Addr::must_parse("10.80.1.1"))));
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(decode(*next).id, 3);
+
+  loop.stop();
+  EXPECT_EQ(loop.stats().cache_hits, 1u);
 }
 
 TEST(AnswerCacheLoop, EpochBumpSwapsTheWholeImageUnderLoad) {

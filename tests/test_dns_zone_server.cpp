@@ -133,6 +133,32 @@ TEST_F(ServerFixture, RefusesOutOfZone) {
   EXPECT_EQ(response->flags.rcode, Rcode::Refused);
 }
 
+TEST_F(ServerFixture, ReadonlyDropsResponsesAndAnswersOtherOpcodesNotImp) {
+  ServerStats stats;
+  Message notify = make_ptr_query(5, net::Ipv4Addr::must_parse("10.128.1.7"));
+  notify.flags.opcode = static_cast<Opcode>(4);  // NOTIFY (RFC 1996)
+  const auto notimp = server_.handle_readonly(notify, stats);
+  ASSERT_TRUE(notimp.has_value());
+  EXPECT_EQ(notimp->flags.rcode, Rcode::NotImp);
+  EXPECT_EQ(notimp->flags.opcode, notify.flags.opcode);
+  EXPECT_FALSE(notimp->flags.aa);
+  EXPECT_TRUE(notimp->answers.empty());
+
+  // A response aimed at the server gets no reply and counts as no query.
+  Message response = make_ptr_query(6, net::Ipv4Addr::must_parse("10.128.1.7"));
+  response.flags.qr = true;
+  EXPECT_FALSE(server_.handle_readonly(response, stats).has_value());
+  EXPECT_EQ(stats.queries, 1u);
+  EXPECT_EQ(stats.answered, 0u);
+
+  // UPDATE on the read path keeps its REFUSED.
+  Message update = make_ptr_query(7, net::Ipv4Addr::must_parse("10.128.1.7"));
+  update.flags.opcode = Opcode::Update;
+  const auto refused = server_.handle_readonly(update, stats);
+  ASSERT_TRUE(refused.has_value());
+  EXPECT_EQ(refused->flags.rcode, Rcode::Refused);
+}
+
 TEST_F(ServerFixture, UpdateAddAndDelete) {
   const auto owner_ip = net::Ipv4Addr::must_parse("10.128.2.2");
   const DnsName zone_origin = DnsName::must_parse("128.10.in-addr.arpa");

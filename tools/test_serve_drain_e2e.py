@@ -208,17 +208,17 @@ def main():
              "--journal-out", journal],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
         flood = None
+        # fail() raises SystemExit, so the cleanup is a finally: the flooder
+        # stops and the server is killed and reaped on every way out.
         try:
             banner = server.stdout.readline()
             match = SERVE_BANNER.match(banner)
             if not match:
-                server.kill()
                 fail(f"unparseable serve banner: {banner!r}")
             port = int(match.group(1))
             admin_line = server.stdout.readline()
             admin_match = ADMIN_BANNER.match(admin_line)
             if not admin_match:
-                server.kill()
                 fail(f"unparseable admin banner: {admin_line!r}")
             admin_port = int(admin_match.group(1))
             reader = StdoutReader(server.stdout)
@@ -271,11 +271,12 @@ def main():
             flood.stop()
             server.wait(timeout=60)
             out = "\n".join(reader.snapshot())
-        except Exception:
+        finally:
             if flood:
-                flood.stop_flag.set()
-            server.kill()
-            raise
+                flood.stop()
+            if server.poll() is None:
+                server.kill()
+            server.wait()
         if server.returncode != 0:
             fail(f"server exited {server.returncode} on SIGTERM: {out}")
 
